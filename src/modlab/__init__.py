@@ -1,6 +1,6 @@
 """modlab: a numerical laboratory for the modulus of curve families.
 
-Computes discrete p-moduli by convex constraint generation, carries a zoo of
+Computes discrete p-moduli with a certified primal-dual bracket, carries a zoo of
 branched mappings of a punctured ball with exact distortion data, and runs the
 weighted modulus-inequality, proof-bound, continuity, and blow-up scenarios as
 reproducible experiments.

@@ -65,12 +65,11 @@ separation = 0.125         ; blow-up separation
 
 [solver]
 resolution = 128           ; grid cells per axis (n=2 max 2048, n=3 max 96)
-tol = 0.003                ; constraint violation tolerance
+tol = 0.003                ; relative primal-dual gap of the modulus bracket
 curve_count = 192          ; curves in generated families
 sample_count = 200         ; continuity samples
 seed = 0
 budget = 200000            ; dual ascent iteration budget
-threads = 1
 
 [output]
 out_dir = ./modlab-out
@@ -107,7 +106,6 @@ class ExperimentConfig:
     sample_count: int = 200
     seed: int = 0
     budget: int = 200_000
-    threads: int = 1
     out_dir: str = "./modlab-out"
     family_file: str = ""
     eta_kinds: tuple[str, ...] = ("uniform", "reciprocal", "power")
@@ -121,6 +119,10 @@ class ExperimentConfig:
             raise ConfigError("mapping.kind", f"unknown mapping {self.mapping_kind!r}")
         if self.dim not in GRID_GUARD:
             raise ConfigError("mapping.dim", "supported dimensions are 2 and 3")
+        for name, value in (("mapping.center", self.center), ("geometry.y0", self.y0)):
+            if len(value) != self.dim:
+                raise ConfigError(name, f"has {len(value)} coordinates, "
+                                        f"but mapping.dim is {self.dim}")
         if self.resolution > GRID_GUARD[self.dim]:
             raise ConfigError("solver.resolution",
                               f"exceeds the n={self.dim} memory guard "
@@ -181,11 +183,9 @@ def load_config(path) -> ExperimentConfig:
     cfg.mapping_kind = fetch("mapping", "kind", str, cfg.mapping_kind)
     cfg.k = fetch("mapping", "k", int, cfg.k)
     cfg.alpha = fetch("mapping", "alpha", float, cfg.alpha)
-    cfg.center = fetch("mapping", "center", _floats, cfg.center)
     cfg.epsilon0 = fetch("mapping", "epsilon0", float, cfg.epsilon0)
     cfg.dim = fetch("mapping", "dim", int, cfg.dim)
-    if len(cfg.center) != cfg.dim:
-        cfg.center = (0.0,) * cfg.dim
+    cfg.center = fetch("mapping", "center", _floats, (0.0,) * cfg.dim)
     cfg.y0 = fetch("geometry", "y0", _floats, (0.0,) * cfg.dim)
     cfg.r1 = fetch("geometry", "r1", float, cfg.r1)
     cfg.r2 = fetch("geometry", "r2", float, cfg.r2)
@@ -199,7 +199,6 @@ def load_config(path) -> ExperimentConfig:
     cfg.sample_count = fetch("solver", "sample_count", int, cfg.sample_count)
     cfg.seed = fetch("solver", "seed", int, cfg.seed)
     cfg.budget = fetch("solver", "budget", int, cfg.budget)
-    cfg.threads = fetch("solver", "threads", int, cfg.threads)
     cfg.out_dir = fetch("output", "out_dir", str, cfg.out_dir)
     cfg.family_file = fetch("scenario", "family_file", str, cfg.family_file)
 
@@ -267,16 +266,16 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
         report = verify_poletski(f, cfg.y0, cfg.r1, cfg.r2, cfg.resolution,
                                  count=cfg.curve_count, solver_tol=cfg.tol,
                                  budget=cfg.budget)
-        rec.update(report.to_dict(), violation=not report.satisfied,
-                   _density=report.lhs)
+        rec.update(report.to_dict(), result=report.lhs.to_report(),
+                   violation=not report.satisfied, _density=report.lhs)
         rec.update(parameter=cfg.r2, lhs=report.lhs.value, rhs=report.min_rhs(),
                    slack=report.slack)
     elif cfg.kind == "weight_bound":
         report = weight_bound_check(f, cfg.y0, cfg.eps1, cfg.eps1_star, cfg.resolution,
                                 count=cfg.curve_count, solver_tol=cfg.tol,
                                 budget=cfg.budget)
-        rec.update(report.to_dict(), violation=not report.holds,
-                   _density=report.lhs_result)
+        rec.update(report.to_dict(), result=report.lhs_result.to_report(),
+                   violation=not report.holds, _density=report.lhs_result)
         rec.update(parameter=cfg.eps1_star, lhs=report.lhs, rhs=report.bound,
                    slack=report.bound - report.lhs)
     elif cfg.kind == "continuity":
@@ -318,7 +317,6 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float) -
         "tool": "modlab",
         "version": __version__,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "config": echo,
         "results": clean,
         "wall_clock_seconds": time.time() - started,
@@ -419,7 +417,6 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, help="override solver.tol")
         p.add_argument("--seed", type=int, help="override solver.seed")
         p.add_argument("--out-dir", help="override output.out_dir")
-        p.add_argument("--threads", type=int, help="override solver.threads")
     sub.add_parser("print-defaults", help="print a documented default config")
     args = parser.parse_args(argv)
 
@@ -435,8 +432,6 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     action = run if args.command == "run" else sweep
     return action(args.config, overrides)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, _directions
 from .geometry import ExtendedPoint, SphericalRing, chordal_distance
 
 ZOO_KINDS = ("identity", "winding", "radial_stretch", "inversion", "composition")
@@ -341,10 +341,6 @@ class WeightQ:
     l1_norm: float
     region: str
 
-    def field(self):
-        v = self.value
-        return lambda pts: np.full(len(np.atleast_2d(pts)), v)
-
 
 def weight_Q(f: MappingSpec, image_region: SphericalRing | None = None,
              resolution: int = 128) -> WeightQ:
@@ -466,12 +462,6 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start,
 # Cluster set sampling
 # ---------------------------------------------------------------------------
 
-def _sphere_samples(dim: int, count: int) -> np.ndarray:
-    from .curves import _directions
-
-    return _directions(dim, count)
-
-
 def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
                          samples_per_radius: int = 64,
                          threshold: float = 0.05) -> list[ExtendedPoint]:
@@ -486,7 +476,7 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
     radii = sorted(float(r) for r in sample_radii)
     if not radii or radii[0] <= 0 or radii[-1] >= f.epsilon0:
         raise ValueError("sample radii must decrease to 0 inside the punctured ball")
-    dirs = _sphere_samples(f.dim, samples_per_radius)
+    dirs = _directions(f.dim, samples_per_radius)
     pts = []
     for r in radii[:2]:
         pts.append(evaluate_many(f, x0 + r * dirs))

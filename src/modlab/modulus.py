@@ -2,9 +2,10 @@
 
 The discrete p-modulus of a finite family on a grid minimizes
 sum(rho^p * cell_volume) over nonnegative cell densities subject to
-integral(rho, curve) >= 1 for every curve.  The solver runs constraint
-generation over the family, solving each subproblem by projected ascent on
-the Lagrangian dual with analytic primal recovery.
+integral(rho, curve) >= 1 for every curve.  The solver runs projected ascent
+on the Lagrangian dual over the whole family with analytic primal recovery and
+returns a certified bracket: `value` is the energy of a feasible density (an
+upper bound), `lower_bound` a dual value, and `tol` bounds their relative gap.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class SolverBudgetExceeded(Exception):
 
 @dataclass
 class ModulusResult:
-    """Outcome of a discrete modulus solve."""
+    """Outcome of a discrete modulus solve: the bracket [lower_bound, value]."""
 
     value: float
     density: GridDensity
@@ -190,11 +191,13 @@ class ModulusResult:
     active_constraints: int
     residual: float
     family_size: int
+    lower_bound: float
 
     def to_report(self) -> dict:
         spec = self.density.spec
         return {
             "value": self.value,
+            "lower_bound": self.lower_bound,
             "iterations": self.iterations,
             "active_constraints": self.active_constraints,
             "residual": self.residual,
@@ -204,35 +207,49 @@ class ModulusResult:
 
 
 def _dual_ascent(A: sp.csr_matrix, w: float, p: float, lam: np.ndarray,
-                 tol: float, max_iter: int):
+                 tol: float, budget: int):
     """Projected ascent with Barzilai-Borwein steps on the Lagrangian dual.
 
-    Primal recovery: rho = (A^T lam / (p w))^(1/(p-1)).  Returns the multipliers,
-    the recovered density, and the number of gradient evaluations.
+    Primal recovery: rho = (A^T lam / (p w))^(1/(p-1)).  Every evaluation gives
+    a lower bound, the dual value g(lam), and an upper bound, the energy of rho
+    rescaled so its least curve integral is 1.  Stops once the best bounds are
+    within the relative gap tol.  Returns the multipliers, the best rescaled
+    density, the best lower and upper bounds and the number of evaluations;
+    raises SolverBudgetExceeded after budget evaluations.
     """
     q = 1.0 / (p - 1.0)
+    lower, upper, best_rho = -math.inf, math.inf, None
 
     def state(lam):
+        nonlocal lower, upper, best_rho
         s = A.T @ lam
         rho = (s / (p * w)) ** q
-        grad = 1.0 - A @ rho
+        integrals = A @ rho
         g = lam.sum() - (1.0 - 1.0 / p) * float(s @ rho)
-        return g, grad, rho
+        lower = max(lower, g)
+        least = integrals.min()
+        if least > 0.0:
+            rho = rho / least
+            energy = float(np.sum(w * rho ** p))
+            if energy < upper:
+                upper, best_rho = energy, rho
+        return g, 1.0 - integrals
 
-    g, grad, rho = state(lam)
+    g, grad = state(lam)
     evals = 1
     step = 1.0
-    for _ in range(max_iter):
-        pg = grad.copy()
-        pg[(lam <= 0.0) & (grad < 0.0)] = 0.0
-        if np.abs(pg).max() < tol:
-            break
+    while best_rho is None or upper - lower > tol * upper:
+        if evals >= budget:
+            raise SolverBudgetExceeded(
+                f"no convergence within {budget} dual iterations (bracket "
+                f"[{lower:.6g}, {upper:.6g}], tol {tol:g})",
+                upper if best_rho is not None else None)
         # monotone safeguard around the BB proposal
         while True:
             lam_new = np.maximum(0.0, lam + step * grad)
-            g_new, grad_new, rho_new = state(lam_new)
+            g_new, grad_new = state(lam_new)
             evals += 1
-            if g_new >= g - 1e-14 * max(1.0, abs(g)) or step < 1e-15:
+            if g_new >= g - 1e-14 * max(1.0, abs(g)) or step < 1e-15 or evals >= budget:
                 break
             step *= 0.5
         dl = lam_new - lam
@@ -242,109 +259,42 @@ def _dual_ascent(A: sp.csr_matrix, w: float, p: float, lam: np.ndarray,
             step = float(dl @ dl) / (-curv)
         else:
             step *= 2.0
-        lam, g, grad, rho = lam_new, g_new, grad_new, rho_new
-        if evals >= max_iter:
-            break
-    return lam, rho, evals
+        lam, g, grad = lam_new, g_new, grad_new
+    return lam, best_rho, lower, upper, evals
 
 
 def discrete_modulus(family: CurveFamily, grid: GridSpec, p: float | None = None,
-                     tol: float = 1e-3, budget: int = DEFAULT_BUDGET,
-                     grow: int = 1) -> ModulusResult:
-    """Discrete p-modulus of a finite curve family on a grid.
+                     tol: float = 1e-3, budget: int = DEFAULT_BUDGET) -> ModulusResult:
+    """Discrete p-modulus of a finite curve family on a grid, with a certified bracket.
 
-    Constraint generation: solve the dual subproblem on an active subset, add
-    the most-violated curve (lowest index on ties), and stop once no curve is
-    violated by more than tol.  The returned density is rescaled so the least
-    constraint integral over the whole family equals 1, making it feasible and
-    its energy an upper bound certified by the reported residual.
-
-    grow > 1 admits that many most-violated curves per outer round; the default
-    matches the one-at-a-time policy.
+    One projected dual ascent over every curve of the family, started at
+    lam = 1, runs until the relative primal-dual gap (value - lower_bound) / value
+    is at most tol.  The value is the energy of a feasible density (every curve
+    integral >= 1), so it is an upper bound; lower_bound is a dual value.
     """
     if p is None:
         p = float(grid.dim)
     if p <= 1.0:
         raise ValueError("modulus exponent must exceed 1")
     if len(family.curves) == 0:
-        return ModulusResult(0.0, GridDensity.zeros(grid), 0, 0, 0.0, 0)
+        return ModulusResult(0.0, GridDensity.zeros(grid), 0, 0, 0.0, 0, 0.0)
 
     rows = [curve_cell_lengths(grid, c) for c in family]
     m = len(rows)
     indptr = np.concatenate([[0], np.cumsum([len(r[0]) for r in rows])])
-    A_full = sp.csr_matrix(
+    A = sp.csr_matrix(
         (np.concatenate([r[1] for r in rows]),
          np.concatenate([r[0] for r in rows]), indptr),
         shape=(m, grid.n_cells))
     w = grid.cell_volume
 
-    active: list[int] = [0]
-    lam = np.ones(1)
-    total_evals = 0
-    inner_tol = 0.3 * tol
-    integrals = np.zeros(m)
-    rho = np.zeros(grid.n_cells)
-
-    def most_violated(violation: np.ndarray) -> int:
-        # quantize before the argmax so symmetric configurations tie exactly
-        # and the lowest curve index wins, independent of summation order
-        quantum = 1e-9 * max(float(violation.max()), tol)
-        return int(np.argmax(np.round(violation / quantum)))
-
-    def budget_error() -> SolverBudgetExceeded:
-        worst = integrals.min() if m else 0.0
-        best = None
-        if worst > 0.0:
-            best = float(np.sum(w * (rho / worst) ** p))
-        return SolverBudgetExceeded(
-            f"no convergence within {budget} dual iterations "
-            f"(violation {1.0 - worst:.3g} > tol {tol:g})", best)
-
-    for _ in range(m + 1):
-        A_act = A_full[active]
-        lam, rho, evals = _dual_ascent(A_act, w, p, lam, inner_tol,
-                                       min(budget - total_evals, 50_000))
-        total_evals += evals
-        if total_evals >= budget:
-            integrals = A_full @ rho
-            raise budget_error()
-        integrals = A_full @ rho
-        violation = 1.0 - integrals
-        worst = most_violated(violation)
-        if violation[worst] < tol:
-            break
-        if worst in active:
-            # active subproblem not tight enough: solve it harder
-            lam, rho, evals = _dual_ascent(A_act, w, p, lam, 0.1 * inner_tol,
-                                           min(budget - total_evals, 50_000))
-            total_evals += evals
-            integrals = A_full @ rho
-            violation = 1.0 - integrals
-            worst = most_violated(violation)
-            if violation[worst] < tol:
-                break
-            if total_evals >= budget or worst in active:
-                raise budget_error()
-        order = np.argsort(-np.round(violation / (1e-9 * max(float(violation.max()), tol))),
-                           kind="stable")
-        added = 0
-        for j in order:
-            j = int(j)
-            if violation[j] < tol or added >= grow:
-                break
-            if j not in active:
-                active.append(j)
-                lam = np.append(lam, 1.0)
-                added += 1
-    else:
-        raise budget_error()
-
-    scale = integrals.min()
-    rho_star = rho / scale
-    value = float(np.sum(w * rho_star ** p))
-    residual = float(max(0.0, 1.0 - (A_full @ rho_star).min()))
-    density = GridDensity(grid, rho_star.reshape(grid.shape))
-    return ModulusResult(value, density, total_evals, len(active), residual, m)
+    lam, rho, lower, value, evals = _dual_ascent(A, w, p, np.ones(m), tol, budget)
+    residual = float(max(0.0, 1.0 - (A @ rho).min()))
+    density = GridDensity(grid, rho.reshape(grid.shape))
+    # at an exact optimum the dual value can pass the energy by rounding only;
+    # lowering a lower bound keeps it valid
+    return ModulusResult(value, density, evals, int(np.count_nonzero(lam > 0.0)),
+                         residual, m, float(min(lower, value)))
 
 
 def ring_grid(ring: SphericalRing, resolution: int, family_size: int,

@@ -4,6 +4,8 @@ import configparser
 import csv
 import json
 
+import pytest
+
 from modlab import cli
 
 
@@ -69,6 +71,17 @@ k = 3
                            .replace("resolution = 64", "resolution = 4096"))
         assert cli.run(cfg) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, edits", [
+        ("mapping.center", {"center = 0, 0": "center = 0.3, 0.1, 0.2"}),
+        ("geometry.y0", {"center = 0, 0": "center = 0, 0, 0", "dim = 2": "dim = 3"}),
+    ])
+    def test_coordinate_length_mismatch(self, tmp_path, capsys, field, edits):
+        text = POLETSKI_CONFIG.format(out=tmp_path)
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        assert cli.run(write_config(tmp_path / "c.ini", text)) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_unknown_scenario(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
                            .replace("kind = poletski", "kind = warp", 1))
@@ -90,6 +103,17 @@ class TestRun:
         assert rows[0] == ["scenario", "parameter", "lhs", "rhs", "slack"]
         assert len(rows) == 2
         assert (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["poletski", "weight_bound"])
+    def test_report_carries_solver_record(self, tmp_path, kind):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out)
+                           .replace("kind = poletski", f"kind = {kind}"))
+        assert cli.run(cfg) == 0
+        rec = json.loads((out / "report.json").read_text())["results"][0]
+        assert rec["result"]["lower_bound"] <= rec["result"]["value"]
+        assert rec["lhs"] == rec["result"]["value"]
+        assert rec["result"]["iterations"] > 0
 
     def test_ring_modulus_scenario(self, tmp_path):
         out = tmp_path / "out"

@@ -197,14 +197,26 @@ class TestDiscreteModulus:
         assert rotated == pytest.approx(base, rel=5e-3)
 
     def test_three_dimensional_ring_coarse(self):
-        # coarse 3-D cross-check of the analytic formula; grow>1 keeps the
-        # constraint-generation loop tractable at four thousand curves
+        # coarse 3-D cross-check of the analytic formula at four thousand curves
         ring = SphericalRing((0.0, 0.0, 0.0), 1.0, math.e)
         fam = generate_ring_family(ring, 4000)
         grid = ring_grid(ring, 48, 4000)
-        result = discrete_modulus(fam, grid, p=3.0, tol=5e-3, grow=32,
-                                  budget=500_000)
+        result = discrete_modulus(fam, grid, p=3.0, tol=5e-3, budget=500_000)
         assert result.value == pytest.approx(4 * math.pi, rel=0.10)
+
+    def test_single_curve_closed_form(self):
+        # one curve with cell lengths l has 2-modulus cell_volume / sum(l^2);
+        # the dual reaches that optimum, where only rounding separates the bounds
+        from modlab.curves import curve_cell_lengths
+        for n in (8, 16, 19, 32):
+            grid = GridSpec((0.0, 0.0), (1.0, 1.0), (n, n))
+            for vertices in ([[0.1, 0.2], [0.8, 0.7]], [[0.1, 0.1], [0.9, 0.3], [0.4, 0.8]]):
+                curve = Curve(vertices)
+                result = discrete_modulus(CurveFamily([curve], "one"), grid, p=2.0, tol=1e-3)
+                _, lengths = curve_cell_lengths(grid, curve)
+                exact = grid.cell_volume / float(lengths @ lengths)
+                assert result.value == pytest.approx(exact, rel=1e-12)
+                assert result.lower_bound <= result.value
 
     def test_returned_density_is_feasible(self):
         from modlab.curves import line_integral
@@ -215,12 +227,26 @@ class TestDiscreteModulus:
         assert worst >= 1.0 - 1e-9
 
     def test_budget_exceeded_carries_upper_bound(self):
-        grid = GridSpec((0.0, 0.0), (1.0, 1.0), (32, 32))
-        fam = unit_square_family(24)
+        ring = SphericalRing((0.0, 0.0), 1.0, math.e)
+        fam = generate_ring_family(ring, 96)
+        grid = ring_grid(ring, 96, 96)
         with pytest.raises(SolverBudgetExceeded) as info:
             discrete_modulus(fam, grid, p=2.0, tol=1e-6, budget=12)
-        if info.value.best_value is not None:
-            assert info.value.best_value >= 1.0 - 0.05
+        assert info.value.best_value is not None
+        assert info.value.best_value >= 2 * math.pi * (1.0 - 0.05)
+
+    def test_bracket_is_certified(self):
+        ring = SphericalRing((0.0, 0.0), 1.0, math.e)
+        fam = generate_ring_family(ring, 256)
+        grid = ring_grid(ring, 256, 256)
+        results = [discrete_modulus(fam, grid, p=2.0, tol=tol) for tol in (3e-3, 1e-4)]
+        for tol, result in zip((3e-3, 1e-4), results):
+            assert result.lower_bound <= result.value
+            assert (result.value - result.lower_bound) / result.value <= tol
+        # weak duality: any dual value is below any feasible energy
+        coarse, fine = results
+        assert coarse.lower_bound <= fine.value
+        assert fine.lower_bound <= coarse.value
 
     def test_low_exponent_rejected(self):
         grid = GridSpec((0.0, 0.0), (1.0, 1.0), (8, 8))
@@ -231,8 +257,9 @@ class TestDiscreteModulus:
         grid = GridSpec((0.0, 0.0), (1.0, 1.0), (16, 16))
         result = discrete_modulus(unit_square_family(8), grid, p=2.0, tol=1e-3)
         report = result.to_report()
-        assert set(report) == {"value", "iterations", "active_constraints",
-                               "residual", "grid", "family_size"}
+        assert set(report) == {"value", "lower_bound", "iterations",
+                               "active_constraints", "residual", "grid",
+                               "family_size"}
         assert report["family_size"] == 8
 
 
