@@ -3,7 +3,8 @@
 Scenario kinds: ring_modulus, discrete_modulus, poletski, weight_bound, continuity,
 blowup, cluster_set.  Every run writes report.json plus trace.csv (and
 density.csv when a solve produced an extremal density).  Exit codes: 0 success,
-1 configuration error, 2 solver failure, 3 an inequality check failed.
+1 configuration error, 2 solver failure, 3 an inequality check failed; the
+report's status is ok, solver_failure or violation for exits 0, 2 and 3.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 from . import __version__
 from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
-from .mappings import (MappingSpec, cluster_set_estimate, identity,
-                       inversion, radial_stretch, winding)
+from .mappings import (DomainError, LiftingAmbiguity, MappingSpec,
+                       cluster_set_estimate, identity, inversion, radial_stretch,
+                       winding)
 from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
                       ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
@@ -33,11 +35,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_VIOLATION = 3
+EXIT_BY_STATUS = {"ok": EXIT_OK, "solver_failure": EXIT_SOLVER, "violation": EXIT_VIOLATION}
 
 SCENARIOS = ("ring_modulus", "discrete_modulus", "poletski", "weight_bound",
              "continuity", "blowup", "cluster_set")
 
 GRID_GUARD = {2: 2048, 3: 96}
+
+# Float and coordinate keys that must be finite.
+FINITE_KEYS = ("mapping.alpha", "mapping.center", "mapping.epsilon0", "geometry.y0",
+               "geometry.r1", "geometry.r2", "geometry.r0", "geometry.eps1",
+               "geometry.eps1_star", "geometry.separation", "solver.tol")
 
 DEFAULT_CONFIG = """\
 # modlab experiment configuration (INI, flat key = value sections)
@@ -108,7 +116,6 @@ class ExperimentConfig:
     budget: int = 200_000
     out_dir: str = "./modlab-out"
     family_file: str = ""
-    eta_kinds: tuple[str, ...] = ("uniform", "reciprocal", "power")
     sweep_parameter: str = ""
     sweep_values: tuple[float, ...] = ()
 
@@ -119,6 +126,10 @@ class ExperimentConfig:
             raise ConfigError("mapping.kind", f"unknown mapping {self.mapping_kind!r}")
         if self.dim not in GRID_GUARD:
             raise ConfigError("mapping.dim", "supported dimensions are 2 and 3")
+        for name in FINITE_KEYS:
+            value = getattr(self, name.split(".")[1])
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(name, f"must be finite, got {value!r}")
         for name, value in (("mapping.center", self.center), ("geometry.y0", self.y0)):
             if len(value) != self.dim:
                 raise ConfigError(name, f"has {len(value)} coordinates, "
@@ -303,7 +314,8 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
     return rec
 
 
-def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float) -> None:
+def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
+                   outcome: dict) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clean = []
@@ -318,6 +330,7 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float) -
         "version": __version__,
         "seed": cfg.seed,
         "config": echo,
+        **outcome,
         "results": clean,
         "wall_clock_seconds": time.time() - started,
     }
@@ -339,70 +352,61 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float) -
                 writer.writerow(row)
 
 
-def run(config_path, overrides: dict | None = None) -> int:
-    """Execute the configured scenario and write report files."""
+def _sweep_steps(cfg: ExperimentConfig) -> list:
+    if not cfg.sweep_parameter:
+        raise ConfigError("sweep.parameter", "a sweep needs exactly one swept parameter")
+    if cfg.sweep_parameter not in SWEEPABLE:
+        raise ConfigError("sweep.parameter",
+                          f"cannot sweep {cfg.sweep_parameter!r}; "
+                          f"choose one of {sorted(SWEEPABLE)}")
+    if not cfg.sweep_values or not np.all(np.isfinite(cfg.sweep_values)):
+        raise ConfigError("sweep.values", "needs one or more finite values")
+    attr = SWEEPABLE[cfg.sweep_parameter]
+    cast = int if attr in ("sample_count", "resolution", "curve_count") else float
+    return [(value, replace(cfg, **{attr: cast(value)})) for value in cfg.sweep_values]
+
+
+def _execute(config_path, overrides: dict | None, sweep: bool) -> int:
+    """Validate every step of a run or sweep, then run them and write the reports.
+
+    A solver failure (the budget ran out, or a lift met a branch point or left
+    the mapping's domain) still reports the finished records, the message and
+    the best upper bound.
+    """
     started = time.time()
+    records, failure = [], {}
     try:
         cfg = load_config(config_path)
         if overrides:
             cfg = replace(cfg, **overrides)
-        cfg.validate()
-        record = run_scenario(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverBudgetExceeded as exc:
+        steps = _sweep_steps(cfg) if sweep else [(None, cfg)]
+        for _, step in steps:
+            step.validate()
+        for value, step in steps:
+            rec = run_scenario(step)
+            records.append({**rec, "parameter": value} if sweep else rec)
+    except (SolverBudgetExceeded, LiftingAmbiguity, DomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        failure = {"message": str(exc), "best_value": getattr(exc, "best_value", None)}
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_outputs(cfg, [record], started)
-    if record.get("violation"):
+    violation = any(rec.get("violation") for rec in records)
+    status = "solver_failure" if failure else "violation" if violation else "ok"
+    _write_outputs(cfg, records, started, {"status": status, **failure})
+    if status == "violation":
         print("inequality check FAILED; see report.json", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_BY_STATUS[status]
+
+
+def run(config_path, overrides: dict | None = None) -> int:
+    """Execute the configured scenario and write report files."""
+    return _execute(config_path, overrides, sweep=False)
 
 
 def sweep(config_path, overrides: dict | None = None) -> int:
     """Run the scenario once per swept parameter value; one CSV row per value."""
-    started = time.time()
-    try:
-        cfg = load_config(config_path)
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        if not cfg.sweep_parameter:
-            raise ConfigError("sweep.parameter", "a sweep needs exactly one swept parameter")
-        if cfg.sweep_parameter not in SWEEPABLE:
-            raise ConfigError("sweep.parameter",
-                              f"cannot sweep {cfg.sweep_parameter!r}; "
-                              f"choose one of {sorted(SWEEPABLE)}")
-        if not cfg.sweep_values:
-            raise ConfigError("sweep.values", "empty sweep list")
-        cfg.validate()
-        attr = SWEEPABLE[cfg.sweep_parameter]
-        records = []
-        for value in cfg.sweep_values:
-            cast = int if attr in ("sample_count", "resolution", "curve_count") else float
-            step = replace(cfg, **{attr: cast(value)})
-            step.validate()
-            rec = run_scenario(step)
-            rec["parameter"] = value
-            records.append(rec)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverBudgetExceeded as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _write_outputs(cfg, records, started)
-    if any(rec.get("violation") for rec in records):
-        print("inequality check FAILED; see report.json", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _execute(config_path, overrides, sweep=True)
 
 
 def main(argv=None) -> int:
@@ -423,15 +427,9 @@ def main(argv=None) -> int:
     if args.command == "print-defaults":
         print(DEFAULT_CONFIG, end="")
         return EXIT_OK
-    overrides = {}
-    if args.grid is not None:
-        overrides["resolution"] = args.grid
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
+    flags = {"resolution": args.grid, "tol": args.tol, "seed": args.seed,
+             "out_dir": args.out_dir}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     action = run if args.command == "run" else sweep
     return action(args.config, overrides)
 

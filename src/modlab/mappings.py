@@ -17,6 +17,7 @@ import numpy as np
 
 from .curves import Curve, _directions
 from .geometry import ExtendedPoint, SphericalRing, chordal_distance
+from .modulus import masked_ring_volume, unit_sphere_area
 
 ZOO_KINDS = ("identity", "winding", "radial_stretch", "inversion", "composition")
 
@@ -323,8 +324,6 @@ def image_mask(f: MappingSpec):
 
 def image_volume(f: MappingSpec) -> float:
     """Volume of the image; infinite for exterior images."""
-    from .modulus import unit_sphere_area
-
     shape, r = image_ball(f)
     if shape == "exterior":
         return math.inf
@@ -342,15 +341,12 @@ class WeightQ:
     region: str
 
 
-def weight_Q(f: MappingSpec, image_region: SphericalRing | None = None,
-             resolution: int = 128) -> WeightQ:
+def weight_Q(f: MappingSpec, image_region: SphericalRing | None = None) -> WeightQ:
     """The weight Q = N(f) * sup K_O with its L1 norm over region (ring) or image.
 
     With no region the norm is taken over the whole image; an unbounded image
     makes it infinite.
     """
-    from .modulus import masked_ring_volume
-
     N = multiplicity(f)
     K = sup_distortion(f)
     value = N * K
@@ -358,7 +354,7 @@ def weight_Q(f: MappingSpec, image_region: SphericalRing | None = None,
         vol = image_volume(f)
         region = "image"
     else:
-        vol = masked_ring_volume(image_region, image_mask(f), resolution=resolution)
+        vol = masked_ring_volume(image_region, image_mask(f))
         region = (f"ring(r={image_region.r_inner:g},{image_region.r_outer:g})")
     return WeightQ(value, N, K, value * vol, region)
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from modlab import cli
+from modlab.mappings import DomainError
 
 
 def write_config(path, text):
@@ -82,6 +83,17 @@ k = 3
         assert cli.run(write_config(tmp_path / "c.ini", text)) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, old, new", [
+        ("geometry.r1", "r1 = 0.1", "r1 = nan"),
+        ("solver.tol", "tol = 0.005", "tol = inf"),
+    ])
+    def test_non_finite_value_named(self, tmp_path, capsys, field, old, new):
+        cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
+                           .replace(old, new))
+        assert cli.run(cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+
     def test_unknown_scenario(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
                            .replace("kind = poletski", "kind = warp", 1))
@@ -96,6 +108,7 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["tool"] == "modlab"
         assert report["seed"] == 7
+        assert report["status"] == "ok"
         assert report["results"][0]["satisfied"] is True
         assert report["results"][0]["q_value"] == 9.0
         with open(out / "trace.csv") as fh:
@@ -171,12 +184,44 @@ out_dir = {out}
 
         monkeypatch.setattr(cli, "verify_poletski", sabotaged)
         assert cli.run(cfg) == cli.EXIT_VIOLATION
+        assert json.loads((out / "report.json").read_text())["status"] == "violation"
 
     def test_solver_failure_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out)
                            .replace("[solver]", "[solver]\nbudget = 5"))
         assert cli.run(cfg) == cli.EXIT_SOLVER
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "solver_failure"
+        assert "dual iterations" in report["message"]
+        assert isinstance(report["best_value"], float)
+
+    def test_lifting_ambiguity_is_solver_failure(self, tmp_path, capsys):
+        # image curve 16 runs along the negative first axis through 0, the
+        # winding's branch value, where its preimage branches are equidistant
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out)
+                           .replace("y0 = 0, 0", "y0 = 0.2, 0")
+                           .replace("r1 = 0.1", "r1 = 0.05")
+                           .replace("r2 = 0.4", "r2 = 0.3"))
+        assert cli.run(cfg) == cli.EXIT_SOLVER
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "solver_failure"
+        assert report["message"].startswith("image curve")
+        assert report["best_value"] is None
+
+    def test_domain_error_is_solver_failure(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out))
+
+        def outside(*args, **kwargs):
+            raise DomainError("lift collapsed to a single point")
+
+        monkeypatch.setattr(cli, "verify_poletski", outside)
+        assert cli.run(cfg) == cli.EXIT_SOLVER
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "solver_failure"
 
     def test_replay_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

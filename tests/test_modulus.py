@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from modlab.curves import Curve, CurveFamily, GridSpec, generate_ring_family
 from modlab.geometry import SphericalRing
+from modlab.mappings import image_mask, inversion, radial_stretch, winding
 from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
                             blowup_experiment, discrete_modulus, family_grid,
                             masked_ring_volume, power_eta, reciprocal_eta,
@@ -81,12 +83,22 @@ class TestEta:
             EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(-1.0,))
 
 
+def ball_share(dim: int, d: float, R: float, r: float) -> float:
+    """Closed-form share of a sphere of radius r inside a ball of radius R at distance d.
+
+    The arc fraction theta/pi in 2-D and the cap area (1 - cos theta)/2 in 3-D,
+    theta being the angle of the boundary circle seen from the sphere's center.
+    """
+    cos = min(1.0, max(-1.0, (r * r + d * d - R * R) / (2.0 * r * d)))
+    return math.acos(cos) / math.pi if dim == 2 else (1.0 - cos) / 2.0
+
+
 class TestWeightedRhsIntegral:
     RING = SphericalRing((0.0, 0.0), 1.0, 2.0)
 
     def test_uniform_eta_gives_annulus_area(self):
         value = weighted_rhs_integral(1.0, uniform_eta(1.0, 2.0), self.RING, n=2)
-        assert value == pytest.approx(3 * math.pi, rel=5e-3)
+        assert value == pytest.approx(3 * math.pi, rel=1e-12)
 
     def test_linear_in_q(self):
         eta = uniform_eta(1.0, 2.0)
@@ -94,16 +106,58 @@ class TestWeightedRhsIntegral:
         scaled = weighted_rhs_integral(7.5, eta, self.RING, n=2)
         assert scaled == pytest.approx(7.5 * base, rel=1e-12)
 
-    def test_reciprocal_eta_ring(self):
-        ring = SphericalRing((0.0, 0.0), 1.0, math.e)
-        value = weighted_rhs_integral(1.0, reciprocal_eta(1.0, math.e), ring, n=2)
-        assert value == pytest.approx(2 * math.pi, rel=1e-2)
+    @pytest.mark.parametrize("dim, r1, r2", [(2, 1.0, math.e), (3, 0.1, 0.4)],
+                             ids=["2d", "3d"])
+    def test_reciprocal_eta_ring(self, dim, r1, r2):
+        # the extremal eta turns the right-hand side into the ring modulus
+        ring = SphericalRing((0.0,) * dim, r1, r2)
+        value = weighted_rhs_integral(1.0, reciprocal_eta(r1, r2), ring)
+        assert value == pytest.approx(ring_modulus_analytic(dim, r1, r2), rel=1e-12)
 
     def test_mask_restricts_domain(self):
         eta = uniform_eta(1.0, 2.0)
         half = weighted_rhs_integral(1.0, eta, self.RING,
                                      domain_mask=lambda p: p[:, 0] > 0.0, n=2)
         assert half == pytest.approx(1.5 * math.pi, rel=1e-2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "reciprocal"])
+    def test_concentric_ring_straddles_mask(self, dim, kind):
+        # the image of radial_stretch(2) is the ball of radius 0.5^2 = 0.25,
+        # so only (0.1, 0.25) of the ring (0.1, 0.4) counts
+        mask = image_mask(radial_stretch(2.0, dim=dim, epsilon0=0.5))
+        ring = SphericalRing((0.0,) * dim, 0.1, 0.4)
+        if kind == "uniform":
+            eta = uniform_eta(0.1, 0.4)
+            radial = (0.25 ** dim - 0.1 ** dim) / (dim * 0.3 ** dim)
+        else:
+            eta = reciprocal_eta(0.1, 0.4)
+            radial = math.log(2.5) / math.log(4.0) ** dim
+        value = weighted_rhs_integral(1.0, eta, ring, mask)
+        assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("image, offset, r1, r2", [
+        ("ball", 0.2, 0.05, 0.45),       # the ring straddles the image ball
+        ("ball", 0.6, 0.2, 0.5),         # the ring is centered outside it
+        ("exterior", 2.2, 0.1, 0.6),     # outside the ball of radius 1/0.5
+    ])
+    def test_off_center_ball_masks(self, dim, image, offset, r1, r2):
+        exterior = image == "exterior"
+        f = inversion(dim, epsilon0=0.5) if exterior else winding(3, dim, epsilon0=0.5)
+        R = 2.0 if exterior else 0.5
+        ring = SphericalRing((offset,) + (0.0,) * (dim - 1), r1, r2)
+        for eta in (uniform_eta(r1, r2), reciprocal_eta(r1, r2), power_eta(r1, r2)):
+            def integrand(r):
+                share = ball_share(dim, offset, R, r)
+                return (float(eta(r)) ** dim * r ** (dim - 1)
+                        * (1.0 - share if exterior else share))
+
+            kinks = [k for k in (abs(R - offset), R + offset) if r1 < k < r2]
+            radial, _ = quad(integrand, r1, r2, points=kinks or None,
+                             epsabs=0.0, epsrel=1e-12, limit=200)
+            value = weighted_rhs_integral(1.0, eta, ring, image_mask(f))
+            assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=1e-3)
 
     def test_inadmissible_eta_rejected(self):
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
@@ -112,12 +166,12 @@ class TestWeightedRhsIntegral:
 
     def test_masked_volume(self):
         vol = masked_ring_volume(self.RING)
-        assert vol == pytest.approx(3 * math.pi, rel=5e-3)
+        assert vol == pytest.approx(3 * math.pi, rel=1e-12)
 
     def test_masked_volume_3d(self):
         ring = SphericalRing((0.0, 0.0, 0.0), 0.5, 1.0)
-        vol = masked_ring_volume(ring, resolution=24, rel_tol=5e-3)
-        assert vol == pytest.approx(4 * math.pi / 3 * (1.0 - 0.125), rel=0.02)
+        vol = masked_ring_volume(ring)
+        assert vol == pytest.approx(4 * math.pi / 3 * (1.0 - 0.125), rel=1e-12)
 
 
 def unit_square_family(count):
