@@ -16,8 +16,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from . import __version__
 from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
 from .mappings import (DomainError, LiftingAmbiguity, MappingSpec,
-                       cluster_set_estimate, identity, inversion, radial_stretch,
-                       winding)
+                       cluster_set_estimate)
 from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
                       ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
@@ -41,47 +41,7 @@ SCENARIOS = ("ring_modulus", "discrete_modulus", "poletski", "weight_bound",
              "continuity", "blowup", "cluster_set")
 
 GRID_GUARD = {2: 2048, 3: 96}
-
-# Float and coordinate keys that must be finite.
-FINITE_KEYS = ("mapping.alpha", "mapping.center", "mapping.epsilon0", "geometry.y0",
-               "geometry.r1", "geometry.r2", "geometry.r0", "geometry.eps1",
-               "geometry.eps1_star", "geometry.separation", "solver.tol")
-
-DEFAULT_CONFIG = """\
-# modlab experiment configuration (INI, flat key = value sections)
-
-[scenario]
-kind = poletski            ; one of: ring_modulus, discrete_modulus, poletski,
-                           ;         weight_bound, continuity, blowup, cluster_set
-
-[mapping]
-kind = winding             ; identity | winding | radial_stretch | inversion
-k = 3                      ; winding order (winding only)
-alpha = 2.0                ; stretch exponent (radial_stretch only)
-center = 0, 0              ; puncture location x0
-epsilon0 = 0.5             ; punctured-ball radius
-dim = 2
-
-[geometry]
-y0 = 0, 0                  ; image ring center
-r1 = 0.1                   ; image ring inner radius
-r2 = 0.4                   ; image ring outer radius
-r0 = 0.2                   ; continuity sample radius
-eps1 = 0.1                 ; proof-bound inner radius
-eps1_star = 0.4            ; proof-bound outer radius
-separation = 0.125         ; blow-up separation
-
-[solver]
-resolution = 128           ; grid cells per axis (n=2 max 2048, n=3 max 96)
-tol = 0.003                ; relative primal-dual gap of the modulus bracket
-curve_count = 192          ; curves in generated families
-sample_count = 200         ; continuity samples
-seed = 0
-budget = 200000            ; dual ascent iteration budget
-
-[output]
-out_dir = ./modlab-out
-"""
+MAPPING_KINDS = ("identity", "winding", "radial_stretch", "inversion")
 
 
 class ConfigError(ValueError):
@@ -92,44 +52,101 @@ class ConfigError(ValueError):
         self.field = f
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    mapping_kind: str = "identity"
-    k: int = 1
-    alpha: float = 1.0
-    center: tuple[float, ...] = (0.0, 0.0)
-    epsilon0: float = 0.5
-    dim: int = 2
-    y0: tuple[float, ...] = (0.0, 0.0)
-    r1: float = 0.1
-    r2: float = 0.4
-    r0: float = 0.2
-    eps1: float = 0.1
-    eps1_star: float = 0.4
-    separation: float = 0.125
-    resolution: int = 128
-    tol: float = 3e-3
-    curve_count: int = 192
-    sample_count: int = 200
-    seed: int = 0
-    budget: int = 200_000
-    out_dir: str = "./modlab-out"
-    family_file: str = ""
-    sweep_parameter: str = ""
-    sweep_values: tuple[float, ...] = ()
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+
+
+def _point(text: str) -> tuple[float, ...]:
+    """Comma-separated coordinates; an absent point is the origin in mapping.dim."""
+    return _floats(text)
+
+
+def _above(bound):
+    return (lambda v: v > bound), f"must be > {bound}"
+
+
+def _at_least(bound):
+    return (lambda v: v >= bound), f"must be >= {bound}"
+
+
+def _one_of(choices):
+    return (lambda v: v in choices), f"must be one of {', '.join(map(str, choices))}"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One INI key: where it lives, how it parses, its default, check and doc."""
+
+    section: str
+    key: str
+    type: Callable[[str], object]
+    default: object
+    check: tuple[Callable[[object], bool], str] | None = None
+    sweepable: bool = False
+    doc: str = ""
+    attr: str = ""          # the config field; the key itself when empty
+    required: bool = False  # must be given whenever its section is; [scenario] always is
+
+    def __post_init__(self):
+        object.__setattr__(self, "attr", self.attr or self.key)
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}"
+
+
+CONFIG = (
+    Key("scenario", "kind", str, "poletski", _one_of(SCENARIOS), required=True,
+        doc="required: " + " | ".join(SCENARIOS)),
+    Key("scenario", "family_file", str, "",
+        doc="curve-family file replayed by discrete_modulus"),
+    Key("mapping", "kind", str, "identity", _one_of(MAPPING_KINDS), attr="mapping_kind",
+        required=True, doc=" | ".join(MAPPING_KINDS)),
+    Key("mapping", "k", int, 1, _at_least(1), doc="winding order (winding only)"),
+    Key("mapping", "alpha", float, 1.0, _above(0),
+        doc="stretch exponent (radial_stretch only)"),
+    Key("mapping", "dim", int, 2, _one_of(tuple(GRID_GUARD)), doc="dimension n"),
+    Key("mapping", "center", _point, (0.0, 0.0), doc="puncture location x0"),
+    Key("mapping", "epsilon0", float, 0.5, _above(0), doc="punctured-ball radius"),
+    Key("geometry", "y0", _point, (0.0, 0.0), doc="image ring center"),
+    Key("geometry", "r1", float, 0.1, _above(0), sweepable=True,
+        doc="image ring inner radius"),
+    Key("geometry", "r2", float, 0.4, sweepable=True, doc="image ring outer radius"),
+    Key("geometry", "r0", float, 0.2, _above(0), sweepable=True,
+        doc="continuity sample radius"),
+    Key("geometry", "eps1", float, 0.1, _above(0), doc="proof-bound inner radius"),
+    Key("geometry", "eps1_star", float, 0.4, doc="proof-bound outer radius"),
+    Key("geometry", "separation", float, 0.125, _at_least(0), sweepable=True,
+        doc="blow-up separation"),
+    Key("solver", "resolution", int, 128, _at_least(2), sweepable=True,
+        doc=f"grid cells per axis (n=2 max {GRID_GUARD[2]}, n=3 max {GRID_GUARD[3]})"),
+    Key("solver", "tol", float, 0.003, _above(0),
+        doc="relative primal-dual gap of the modulus bracket"),
+    Key("solver", "curve_count", int, 192, _at_least(1), sweepable=True,
+        doc="curves in generated families"),
+    Key("solver", "sample_count", int, 200, _at_least(1), sweepable=True,
+        doc="continuity and cluster-set samples"),
+    Key("solver", "seed", int, 0, doc="seed of the continuity sample directions"),
+    Key("solver", "budget", int, 200_000, _at_least(1), doc="dual ascent iteration budget"),
+    Key("output", "out_dir", str, "./modlab-out", doc="report directory"),
+    Key("sweep", "parameter", str, "", attr="sweep_parameter", required=True,
+        doc="the key `modlab sweep` varies, one marked sweepable"),
+    Key("sweep", "values", _floats, (), attr="sweep_values",
+        doc="its comma-separated values"),
+)
+
+
+class _Experiment:
+    """The methods of ExperimentConfig, whose fields are the rows of CONFIG."""
 
     def validate(self) -> None:
-        if self.kind not in SCENARIOS:
-            raise ConfigError("scenario.kind", f"unknown scenario {self.kind!r}")
-        if self.mapping_kind not in ("identity", "winding", "radial_stretch", "inversion"):
-            raise ConfigError("mapping.kind", f"unknown mapping {self.mapping_kind!r}")
-        if self.dim not in GRID_GUARD:
-            raise ConfigError("mapping.dim", "supported dimensions are 2 and 3")
-        for name in FINITE_KEYS:
-            value = getattr(self, name.split(".")[1])
-            if not np.all(np.isfinite(value)):
-                raise ConfigError(name, f"must be finite, got {value!r}")
+        """Reject a bad value, naming its key: each key's checks, then joint ones."""
+        for row in CONFIG:
+            value = getattr(self, row.attr)
+            if row.type in (float, _point) and not np.all(np.isfinite(value)):
+                raise ConfigError(row.name, f"must be finite, got {value!r}")
+            if row.check and not row.check[0](value):
+                raise ConfigError(row.name, f"{row.check[1]}, got {value!r}")
         for name, value in (("mapping.center", self.center), ("geometry.y0", self.y0)):
             if len(value) != self.dim:
                 raise ConfigError(name, f"has {len(value)} coordinates, "
@@ -138,98 +155,70 @@ class ExperimentConfig:
             raise ConfigError("solver.resolution",
                               f"exceeds the n={self.dim} memory guard "
                               f"({GRID_GUARD[self.dim]} cells per axis)")
-        if self.resolution < 2:
-            raise ConfigError("solver.resolution", "must be at least 2")
         if not self.r1 < self.r2:
             raise ConfigError("geometry.r1", f"radii must be ordered, got "
                                              f"r1={self.r1} >= r2={self.r2}")
         if not self.eps1 < self.eps1_star:
             raise ConfigError("geometry.eps1", "must be below eps1_star")
-        if self.k < 1:
-            raise ConfigError("mapping.k", "winding order must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("mapping.alpha", "stretch exponent must be positive")
-        if self.epsilon0 <= 0:
-            raise ConfigError("mapping.epsilon0", "must be positive")
-        if self.tol <= 0:
-            raise ConfigError("solver.tol", "must be positive")
-        if self.curve_count < 1:
-            raise ConfigError("solver.curve_count", "must be >= 1")
 
     def mapping(self) -> MappingSpec:
-        if self.mapping_kind == "identity":
-            return identity(self.dim, self.center, self.epsilon0)
-        if self.mapping_kind == "winding":
-            return winding(self.k, self.dim, self.center, self.epsilon0)
-        if self.mapping_kind == "radial_stretch":
-            return radial_stretch(self.alpha, self.dim, self.center, self.epsilon0)
-        return inversion(self.dim, self.center, self.epsilon0)
+        return MappingSpec(self.mapping_kind, self.dim, self.k, self.alpha,
+                           center=self.center, epsilon0=self.epsilon0)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(row.attr, type(row.default), field(default=row.default)) for row in CONFIG],
+    bases=(_Experiment,), namespace={"__module__": __name__})
+
+
+def default_config() -> str:
+    """The documented INI template: every key of CONFIG at its default."""
+    lines = ["# modlab experiment configuration (INI, flat key = value sections)"]
+    section = None
+    for row in CONFIG:
+        if row.section != section:
+            section = row.section
+            lines += ["", f"[{section}]"]
+        value = row.default
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        doc = ("sweepable; " if row.sweepable else "") + row.doc
+        lines.append(f"{row.key} = {value}".ljust(26) + f" ; {doc}")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read an INI file whose every section and key is a row of CONFIG."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError("config", f"cannot read {path}")
-    cfg = ExperimentConfig(kind="poletski")
-
-    def fetch(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key).strip()
-        try:
-            return cast(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from exc
-
-    if not parser.has_section("scenario") or not parser.has_option("scenario", "kind"):
-        raise ConfigError("scenario.kind", "missing")
-    cfg.kind = parser.get("scenario", "kind").strip()
-    if parser.has_section("mapping") and not parser.has_option("mapping", "kind"):
-        raise ConfigError("mapping.kind", "missing")
-    cfg.mapping_kind = fetch("mapping", "kind", str, cfg.mapping_kind)
-    cfg.k = fetch("mapping", "k", int, cfg.k)
-    cfg.alpha = fetch("mapping", "alpha", float, cfg.alpha)
-    cfg.epsilon0 = fetch("mapping", "epsilon0", float, cfg.epsilon0)
-    cfg.dim = fetch("mapping", "dim", int, cfg.dim)
-    cfg.center = fetch("mapping", "center", _floats, (0.0,) * cfg.dim)
-    cfg.y0 = fetch("geometry", "y0", _floats, (0.0,) * cfg.dim)
-    cfg.r1 = fetch("geometry", "r1", float, cfg.r1)
-    cfg.r2 = fetch("geometry", "r2", float, cfg.r2)
-    cfg.r0 = fetch("geometry", "r0", float, cfg.r0)
-    cfg.eps1 = fetch("geometry", "eps1", float, cfg.eps1)
-    cfg.eps1_star = fetch("geometry", "eps1_star", float, cfg.eps1_star)
-    cfg.separation = fetch("geometry", "separation", float, cfg.separation)
-    cfg.resolution = fetch("solver", "resolution", int, cfg.resolution)
-    cfg.tol = fetch("solver", "tol", float, cfg.tol)
-    cfg.curve_count = fetch("solver", "curve_count", int, cfg.curve_count)
-    cfg.sample_count = fetch("solver", "sample_count", int, cfg.sample_count)
-    cfg.seed = fetch("solver", "seed", int, cfg.seed)
-    cfg.budget = fetch("solver", "budget", int, cfg.budget)
-    cfg.out_dir = fetch("output", "out_dir", str, cfg.out_dir)
-    cfg.family_file = fetch("scenario", "family_file", str, cfg.family_file)
-
-    if parser.has_section("sweep"):
-        if not parser.has_option("sweep", "parameter"):
-            raise ConfigError("sweep.parameter", "missing")
-        cfg.sweep_parameter = parser.get("sweep", "parameter").strip()
-        cfg.sweep_values = fetch("sweep", "values", _floats, ())
-    return cfg
-
-
-SWEEPABLE = {
-    "geometry.separation": "separation",
-    "geometry.r0": "r0",
-    "geometry.r1": "r1",
-    "geometry.r2": "r2",
-    "solver.sample_count": "sample_count",
-    "solver.resolution": "resolution",
-    "solver.curve_count": "curve_count",
-}
+    values: dict = {}
+    try:
+        if not parser.read(path):
+            raise ConfigError("config", f"cannot read {path}")
+        known = {(row.section, row.key) for row in CONFIG}
+        for section in parser.sections():
+            if section not in {s for s, _ in known}:
+                raise ConfigError("config", f"unknown section [{section}]")
+            for key in parser[section]:
+                if (section, key) not in known:
+                    raise ConfigError(f"{section}.{key}", "unknown key")
+        given = {"scenario", *parser.sections()}
+        for row in CONFIG:
+            raw = parser.get(row.section, row.key, fallback=None)
+            if raw is None:
+                if row.required and row.section in given:
+                    raise ConfigError(row.name, "missing")
+                # a dim that validate rejects (say 10**9) must not size a tuple
+                origin = row.type is _point and values["dim"] in GRID_GUARD
+                values[row.attr] = (0.0,) * values["dim"] if origin else row.default
+                continue
+            try:
+                values[row.attr] = row.type(raw.strip())
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(row.name, f"cannot parse {raw!r}") from exc
+    except configparser.Error as exc:
+        raise ConfigError("config", str(exc).replace("\n", " ")) from exc
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +344,18 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
 def _sweep_steps(cfg: ExperimentConfig) -> list:
     if not cfg.sweep_parameter:
         raise ConfigError("sweep.parameter", "a sweep needs exactly one swept parameter")
-    if cfg.sweep_parameter not in SWEEPABLE:
+    sweepable = {row.name: row for row in CONFIG if row.sweepable}
+    if cfg.sweep_parameter not in sweepable:
         raise ConfigError("sweep.parameter",
                           f"cannot sweep {cfg.sweep_parameter!r}; "
-                          f"choose one of {sorted(SWEEPABLE)}")
-    if not cfg.sweep_values or not np.all(np.isfinite(cfg.sweep_values)):
+                          f"choose one of {sorted(sweepable)}")
+    values = cfg.sweep_values
+    if not values or not np.all(np.isfinite(values)):
         raise ConfigError("sweep.values", "needs one or more finite values")
-    attr = SWEEPABLE[cfg.sweep_parameter]
-    cast = int if attr in ("sample_count", "resolution", "curve_count") else float
-    return [(value, replace(cfg, **{attr: cast(value)})) for value in cfg.sweep_values]
+    row = sweepable[cfg.sweep_parameter]
+    if row.type is int and any(v != int(v) for v in values):
+        raise ConfigError("sweep.values", f"{row.name} takes integers, got {values}")
+    return [(value, replace(cfg, **{row.attr: row.type(value)})) for value in values]
 
 
 def _execute(config_path, overrides: dict | None, sweep: bool) -> int:
@@ -425,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "print-defaults":
-        print(DEFAULT_CONFIG, end="")
+        print(default_config(), end="")
         return EXIT_OK
     flags = {"resolution": args.grid, "tol": args.tol, "seed": args.seed,
              "out_dir": args.out_dir}

@@ -92,6 +92,14 @@ def chordal_distance(x: PointLike, y: PointLike) -> float:
     return num / (math.sqrt(1.0 + float(a @ a)) * math.sqrt(1.0 + float(b @ b)))
 
 
+def chordal_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chordal distances between the finite rows of (m, n) and (k, n) arrays, as (m, k)."""
+    sa = np.sqrt(1.0 + np.sum(a * a, axis=1))
+    sb = np.sqrt(1.0 + np.sum(b * b, axis=1))
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2)) / (sa[:, None] * sb[None, :])
+
+
 def _split_finite(points: Iterable[PointLike]) -> tuple[np.ndarray, bool, int]:
     """Split a point collection into a finite (m, n) array and an infinity flag."""
     finite = []
@@ -135,11 +143,7 @@ def chordal_set_distance(set_a: Iterable[PointLike], set_b: Iterable[PointLike])
     if inf_b and len(a):
         best = min(best, float(np.min(1.0 / np.sqrt(1.0 + np.sum(a * a, axis=1)))))
     if len(a) and len(b):
-        sa = np.sqrt(1.0 + np.sum(a * a, axis=1))
-        sb = np.sqrt(1.0 + np.sum(b * b, axis=1))
-        diff = a[:, None, :] - b[None, :, :]
-        num = np.sqrt(np.sum(diff * diff, axis=2))
-        best = min(best, float(np.min(num / (sa[:, None] * sb[None, :]))))
+        best = min(best, float(np.min(chordal_matrix(a, b))))
     if not math.isfinite(best):
         raise ValueError("empty point set")
     return best

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, _directions
-from .geometry import ExtendedPoint, SphericalRing, chordal_distance
+from .geometry import ExtendedPoint, SphericalRing, chordal_distance, chordal_matrix
 from .modulus import masked_ring_volume, unit_sphere_area
 
 ZOO_KINDS = ("identity", "winding", "radial_stretch", "inversion", "composition")
@@ -463,10 +463,10 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
                          threshold: float = 0.05) -> list[ExtendedPoint]:
     """Representative limit points of f along spheres shrinking to the puncture.
 
-    Images on the two smallest sample spheres are clustered agglomeratively in
+    Images on the two smallest sample spheres are clustered by single linkage in
     the chordal metric at the given threshold; each cluster is reported by its
-    medoid, snapped to the point at infinity when the whole cluster is within
-    the threshold of it.
+    medoid, snapped to the point at infinity when the medoid is within the
+    threshold of it.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     radii = sorted(float(r) for r in sample_radii)
@@ -477,32 +477,16 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
     for r in radii[:2]:
         pts.append(evaluate_many(f, x0 + r * dirs))
     images = np.vstack(pts)
-    m = len(images)
-    points = [ExtendedPoint.of(p) for p in images]
-
-    # single-linkage union-find at the chordal threshold
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if chordal_distance(points[i], points[j]) < threshold:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
+    dist = chordal_matrix(images, images)
+    # single linkage at the chordal threshold: the components of dist < threshold
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(dist < threshold, directed=False)
 
     reps = []
-    for members in clusters.values():
-        sub = [points[i] for i in members]
-        sums = [sum(chordal_distance(p, q) for q in sub) for p in sub]
-        medoid = sub[int(np.argmin(sums))]
+    for label in range(count):
+        members = np.flatnonzero(labels == label)
+        sums = dist[np.ix_(members, members)].sum(axis=1)
+        medoid = ExtendedPoint.of(images[members[np.argmin(sums)]])
         if chordal_distance(medoid, ExtendedPoint.infinity(f.dim)) < threshold:
             reps.append(ExtendedPoint.infinity(f.dim))
         else:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .curves import Curve, CurveFamily, resample
 from .geometry import SphericalRing
-from .mappings import (MappingSpec, evaluate_many, image_ball, image_mask,
-                       lift_curve, multiplicity, preimages, sup_distortion,
-                       weight_Q, with_domain, HIT_PUNCTURE)
+from .mappings import (DomainError, MappingSpec, evaluate_many, image_ball,
+                       image_mask, lift_curve, multiplicity, preimages,
+                       sup_distortion, weight_Q, with_domain, HIT_PUNCTURE)
 from .modulus import (EtaFunction, ModulusResult, admissible_check,
                       blowup_experiment, discrete_modulus, power_eta,
                       reciprocal_eta, ring_grid, uniform_eta,
@@ -60,7 +60,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float, count: int,
             if 0.0 < rad <= f.epsilon0 * (1.0 + 1e-9):
                 starts.append(z)
         if not starts:
-            raise ValueError(f"image curve {i}: initial point has no preimage "
+            raise DomainError(f"image curve {i}: initial point has no preimage "
                              f"inside the punctured ball")
         for start in starts:
             try:

@@ -5,6 +5,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modlab import cli
 from modlab.mappings import DomainError
@@ -86,6 +87,7 @@ k = 3
     @pytest.mark.parametrize("field, old, new", [
         ("geometry.r1", "r1 = 0.1", "r1 = nan"),
         ("solver.tol", "tol = 0.005", "tol = inf"),
+        ("mapping.center", "center = 0, 0", "center = 0, nan"),
     ])
     def test_non_finite_value_named(self, tmp_path, capsys, field, old, new):
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
@@ -94,10 +96,95 @@ k = 3
         err = capsys.readouterr().err
         assert field in err and "finite" in err
 
+    @pytest.mark.parametrize("field, edits, command", [
+        ("solver.sample_count", {"[solver]": "[solver]\nsample_count = 0"}, "run"),
+        ("solver.budget", {"[solver]": "[solver]\nbudget = 0"}, "run"),
+        ("geometry.separation", {"r2 = 0.4": "r2 = 0.4\nseparation = -0.1"}, "run"),
+        ("geometry.r1", {"r1 = 0.1": "r1 = 0"}, "run"),
+        ("geometry.r0", {"r2 = 0.4": "r2 = 0.4\nr0 = -0.2"}, "run"),
+        ("geometry.eps1", {"r2 = 0.4": "r2 = 0.4\neps1 = 0"}, "run"),
+        ("sweep.values", {"[output]": "[sweep]\nparameter = solver.resolution\n"
+                                      "values = 32.7, 48.2\n[output]"}, "sweep"),
+        ("solver.resolutoin", {"resolution = 64": "resolutoin = 32"}, "run"),
+        ("[solvr]", {"[solver]": "[solvr]"}, "run"),
+    ])
+    def test_bad_value_named(self, tmp_path, capsys, field, edits, command):
+        out = tmp_path / "out"
+        text = POLETSKI_CONFIG.format(out=out)
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        assert cli.main([command, write_config(tmp_path / "c.ini", text)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        {"[scenario]": "kind = poletski\n[scenario]"},
+        {"[output]": "[solver]\nseed = 1\n[output]"},
+        {"kind = poletski": "kind = poletski\nfamily_file = 100%"},
+    ], ids=["no-section-header", "duplicate-section", "bad-interpolation"])
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys, edit):
+        text = POLETSKI_CONFIG.format(out=tmp_path / "out")
+        for old, new in edit.items():
+            text = text.replace(old, new, 1)
+        assert cli.run(write_config(tmp_path / "c.ini", text)) == cli.EXIT_CONFIG
+        assert "configuration error: config:" in capsys.readouterr().err
+
+    def test_print_defaults_round_trip(self, tmp_path, capsys):
+        assert cli.main(["print-defaults"]) == 0
+        cfg = cli.load_config(write_config(tmp_path / "d.ini", capsys.readouterr().out))
+        assert cfg == cli.ExperimentConfig()
+        assert {row.attr: getattr(cfg, row.attr) for row in cli.CONFIG} == \
+            {row.attr: row.default for row in cli.CONFIG}
+        cfg.validate()
+
+    def test_absent_point_is_origin_in_dim(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path / "c.ini", """
+[scenario]
+kind = poletski
+[mapping]
+kind = identity
+dim = 3
+[solver]
+resolution = 24
+"""))
+        cfg.validate()
+        assert cfg.center == cfg.y0 == (0.0, 0.0, 0.0)
+
     def test_unknown_scenario(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
                            .replace("kind = poletski", "kind = warp", 1))
         assert cli.run(cfg) == cli.EXIT_CONFIG
+
+
+ROW_NAMES = [row.name for row in cli.CONFIG]
+RAW_VALUES = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "0, 0", "0.1, 0.2, 0.3", "poletski", "winding", "1e999",
+                     *ROW_NAMES]),
+    st.text(alphabet="0123456789.,-e%;[]ab ", max_size=8))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.dictionaries(st.sampled_from(ROW_NAMES), RAW_VALUES, max_size=5))
+def test_random_config_loads_or_names_a_key(tmp_path, edits):
+    """Random values for table keys load and validate, or name a table key."""
+    sections: dict = {"scenario": {"kind": "poletski"}}
+    for name, raw in edits.items():
+        section, key = name.split(".")
+        sections.setdefault(section, {})[key] = raw
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+    try:
+        cfg = cli.load_config(write_config(tmp_path / "c.ini", text))
+        cfg.validate()
+        cfg.mapping()
+        for _, step in cli._sweep_steps(cfg) if cfg.sweep_parameter else ():
+            step.validate()
+    except cli.ConfigError as exc:
+        assert exc.field in ROW_NAMES + ["config"], str(exc)
 
 
 class TestRun:
@@ -222,6 +309,19 @@ out_dir = {out}
         assert cli.run(cfg) == cli.EXIT_SOLVER
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "solver_failure"
+
+    def test_ring_outside_image_is_solver_failure(self, tmp_path, capsys):
+        # radial_stretch(2) maps B(0, 0.5) onto B(0, 0.25), which misses the ring
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out)
+                           .replace("kind = winding\nk = 3",
+                                    "kind = radial_stretch\nalpha = 2")
+                           .replace("r1 = 0.1", "r1 = 0.3"))
+        assert cli.run(cfg) == cli.EXIT_SOLVER
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "solver_failure"
+        assert "no preimage inside the punctured ball" in report["message"]
 
     def test_replay_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
