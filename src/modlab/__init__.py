@@ -8,8 +8,7 @@ reproducible experiments.
 
 __version__ = "0.1.0"
 
-from .geometry import (ChordalBall, ExtendedPoint, RingPosition, SphericalRing,
-                       chordal_distance, chordal_set_distance, ring_membership)
+from .geometry import ExtendedPoint, SphericalRing, chordal_distance
 from .curves import (Curve, CurveFamily, GridDensity, GridSpec, NoCrossing,
                      crossing_subcurve, generate_ring_family, line_integral,
                      load_family, minorizes, save_family)
@@ -19,16 +18,15 @@ from .modulus import (EtaFunction, ModulusResult, SolverBudgetExceeded,
                       ring_modulus_analytic, uniform_eta, unit_sphere_area,
                       weighted_rhs_integral)
 from .mappings import (DistortionReport, LiftingAmbiguity, MappingSpec, WeightQ,
-                       cluster_set_estimate, composition, distortion_at,
+                       cluster_set_estimate, distortion_at,
                        evaluate, identity, inversion, lift_curve, multiplicity,
                        preimages, radial_stretch, weight_Q, winding)
 from .verifier import (WeightBoundReport, ContinuityReport, PoletskiReport,
-                       ScenarioReport, lifted_ring_family, continuity_bound,
-                       weight_bound_check, singularity_scenario, verify_poletski)
+                       lifted_ring_family, continuity_bound, weight_bound_check,
+                       verify_poletski)
 
 __all__ = [
-    "ChordalBall", "ExtendedPoint", "RingPosition", "SphericalRing",
-    "chordal_distance", "chordal_set_distance", "ring_membership",
+    "ExtendedPoint", "SphericalRing", "chordal_distance",
     "Curve", "CurveFamily", "GridDensity", "GridSpec", "NoCrossing",
     "crossing_subcurve", "generate_ring_family", "line_integral",
     "load_family", "minorizes", "save_family",
@@ -37,10 +35,10 @@ __all__ = [
     "power_eta", "reciprocal_eta", "ring_grid", "ring_modulus_analytic",
     "uniform_eta", "unit_sphere_area", "weighted_rhs_integral",
     "DistortionReport", "LiftingAmbiguity", "MappingSpec", "WeightQ",
-    "cluster_set_estimate", "composition", "distortion_at", "evaluate",
+    "cluster_set_estimate", "distortion_at", "evaluate",
     "identity", "inversion", "lift_curve", "multiplicity", "preimages",
     "radial_stretch", "weight_Q", "winding",
-    "WeightBoundReport", "ContinuityReport", "PoletskiReport", "ScenarioReport",
+    "WeightBoundReport", "ContinuityReport", "PoletskiReport",
     "lifted_ring_family", "continuity_bound", "weight_bound_check",
-    "singularity_scenario", "verify_poletski",
+    "verify_poletski",
 ]

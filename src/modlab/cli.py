@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
-from .mappings import (DomainError, LiftingAmbiguity, MappingSpec,
+from .mappings import (MAPPING_KINDS, DomainError, LiftingAmbiguity, MappingSpec,
                        cluster_set_estimate)
 from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
-                      ring_grid, ring_modulus_analytic)
+                      family_grid, ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
 
 EXIT_OK = 0
@@ -41,7 +41,8 @@ SCENARIOS = ("ring_modulus", "discrete_modulus", "poletski", "weight_bound",
              "continuity", "blowup", "cluster_set")
 
 GRID_GUARD = {2: 2048, 3: 96}
-MAPPING_KINDS = ("identity", "winding", "radial_stretch", "inversion")
+# solver.resolution when absent from a 3-D config: the 3-D Poletski check's grid
+RESOLUTION_3D = 24
 
 
 class ConfigError(ValueError):
@@ -119,14 +120,16 @@ CONFIG = (
     Key("geometry", "separation", float, 0.125, _at_least(0), sweepable=True,
         doc="blow-up separation"),
     Key("solver", "resolution", int, 128, _at_least(2), sweepable=True,
-        doc=f"grid cells per axis (n=2 max {GRID_GUARD[2]}, n=3 max {GRID_GUARD[3]})"),
+        doc=f"grid cells per axis, {RESOLUTION_3D} when absent and n=3 "
+            f"(n=2 max {GRID_GUARD[2]}, n=3 max {GRID_GUARD[3]})"),
     Key("solver", "tol", float, 0.003, _above(0),
         doc="relative primal-dual gap of the modulus bracket"),
     Key("solver", "curve_count", int, 192, _at_least(1), sweepable=True,
         doc="curves in generated families"),
     Key("solver", "sample_count", int, 200, _at_least(1), sweepable=True,
         doc="continuity and cluster-set samples"),
-    Key("solver", "seed", int, 0, doc="seed of the continuity sample directions"),
+    Key("solver", "seed", int, 0, _at_least(0),
+        doc="seed of the continuity sample directions"),
     Key("solver", "budget", int, 200_000, _at_least(1), doc="dual ascent iteration budget"),
     Key("output", "out_dir", str, "./modlab-out", doc="report directory"),
     Key("sweep", "parameter", str, "", attr="sweep_parameter", required=True,
@@ -209,8 +212,13 @@ def load_config(path) -> ExperimentConfig:
                 if row.required and row.section in given:
                     raise ConfigError(row.name, "missing")
                 # a dim that validate rejects (say 10**9) must not size a tuple
-                origin = row.type is _point and values["dim"] in GRID_GUARD
-                values[row.attr] = (0.0,) * values["dim"] if origin else row.default
+                dim = values.get("dim")
+                if row.type is _point and dim in GRID_GUARD:
+                    values[row.attr] = (0.0,) * dim
+                elif row.attr == "resolution" and dim == 3:
+                    values[row.attr] = RESOLUTION_3D
+                else:
+                    values[row.attr] = row.default
                 continue
             try:
                 values[row.attr] = row.type(raw.strip())
@@ -224,15 +232,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
-
-def _density_rows(result):
-    spec = result.density.spec
-    flat = result.density.flat()
-    nz = np.nonzero(flat)[0]
-    centers = spec.cell_center(nz)
-    for i, idx in enumerate(nz):
-        yield [int(idx)] + [f"{c:.9g}" for c in np.atleast_1d(centers[i])] + [f"{flat[idx]:.9g}"]
-
 
 def run_scenario(cfg: ExperimentConfig) -> dict:
     """Execute one scenario; returns a result record with 'violation' flagging."""
@@ -252,7 +251,6 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
     elif cfg.kind == "discrete_modulus":
         if cfg.family_file:
             family = load_family(cfg.family_file)
-            from .modulus import family_grid
             grid = family_grid(family, cfg.resolution)
         else:
             ring = SphericalRing(cfg.y0, cfg.r1, cfg.r2)
@@ -332,13 +330,13 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
                              rec.get("lhs", ""), rec.get("rhs", ""),
                              rec.get("slack", "")])
     if density is not None:
-        with open(out / "density.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell_index"]
-                            + [f"x{a}" for a in range(density.density.spec.dim)]
-                            + ["rho"])
-            for row in _density_rows(density):
-                writer.writerow(row)
+        spec = density.density.spec
+        flat = density.density.flat()
+        nz = np.flatnonzero(flat)
+        rows = np.column_stack([nz, spec.cell_center(nz), flat[nz]])
+        header = ",".join(["cell_index", *(f"x{a}" for a in range(spec.dim)), "rho"])
+        np.savetxt(out / "density.csv", rows, fmt=["%d"] + ["%.9g"] * (spec.dim + 1),
+                   delimiter=",", header=header, comments="", newline="\r\n")
 
 
 def _sweep_steps(cfg: ExperimentConfig) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class Curve:
 
     def __repr__(self):
         return f"Curve({self.n_vertices} vertices, dim={self.dim}, length={self.length():.4g})"
-
-
-def concatenate(first: Curve, second: Curve) -> Curve:
-    """Join two curves where the first ends and the second begins."""
-    if not np.array_equal(first.end(), second.start()):
-        raise ValueError("curves do not share an endpoint")
-    return Curve(np.vstack([first.vertices, second.vertices[1:]]))
 
 
 def resample(curve: Curve, n_vertices: int) -> Curve:
@@ -168,10 +161,6 @@ class GridSpec:
         np.clip(idx, 0, np.asarray(self.shape) - 1, out=idx)
         return np.ravel_multi_index(idx.T, self.shape)
 
-    def cell_centers_1d(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        return self.lo[axis] + h * (np.arange(self.shape[axis]) + 0.5)
-
     def cell_center(self, flat_index: np.ndarray) -> np.ndarray:
         """Coordinates of cell centers for flat indices."""
         multi = np.unravel_index(np.asarray(flat_index), self.shape)
@@ -201,14 +190,6 @@ class GridDensity:
     @staticmethod
     def zeros(spec: GridSpec) -> "GridDensity":
         return GridDensity(spec, np.zeros(spec.shape))
-
-    @staticmethod
-    def from_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> "GridDensity":
-        """Evaluate fn on all cell centers; fn maps an (m, n) array to (m,) values."""
-        axes = [spec.cell_centers_1d(a) for a in range(spec.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        return GridDensity(spec, np.asarray(fn(pts), dtype=float).reshape(spec.shape))
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -100,55 +99,6 @@ def chordal_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2)) / (sa[:, None] * sb[None, :])
 
 
-def _split_finite(points: Iterable[PointLike]) -> tuple[np.ndarray, bool, int]:
-    """Split a point collection into a finite (m, n) array and an infinity flag."""
-    finite = []
-    has_inf = False
-    dim = None
-    for p in points:
-        q = as_point(p)
-        if dim is None:
-            dim = q.dim
-        elif q.dim != dim:
-            raise ValueError("points of mixed dimension in one set")
-        if q.is_infinity:
-            has_inf = True
-        else:
-            finite.append(q.as_array())
-    if dim is None:
-        raise ValueError("empty point set")
-    arr = np.asarray(finite, dtype=float) if finite else np.empty((0, dim))
-    return arr, has_inf, dim
-
-
-def chordal_set_distance(set_a: Iterable[PointLike], set_b: Iterable[PointLike]) -> float:
-    """Infimum of the chordal distance over all sampled pairs.
-
-    Both arguments are finite samples; a 2-d array is read as one point per row.
-    """
-    if isinstance(set_a, np.ndarray) and set_a.ndim == 2:
-        set_a = list(set_a)
-    if isinstance(set_b, np.ndarray) and set_b.ndim == 2:
-        set_b = list(set_b)
-    a, inf_a, dim_a = _split_finite(set_a)
-    b, inf_b, dim_b = _split_finite(set_b)
-    if dim_a != dim_b:
-        raise ValueError(f"dimension mismatch: {dim_a} vs {dim_b}")
-
-    best = math.inf
-    if inf_a and inf_b:
-        return 0.0
-    if inf_a and len(b):
-        best = min(best, float(np.min(1.0 / np.sqrt(1.0 + np.sum(b * b, axis=1)))))
-    if inf_b and len(a):
-        best = min(best, float(np.min(1.0 / np.sqrt(1.0 + np.sum(a * a, axis=1)))))
-    if len(a) and len(b):
-        best = min(best, float(np.min(chordal_matrix(a, b))))
-    if not math.isfinite(best):
-        raise ValueError("empty point set")
-    return best
-
-
 @dataclass(frozen=True)
 class SphericalRing:
     """The open annular region between two concentric spheres, 0 < r_inner < r_outer."""
@@ -174,50 +124,3 @@ class SphericalRing:
 
     def center_array(self) -> np.ndarray:
         return np.asarray(self.center, dtype=float)
-
-    def radius_of(self, y: PointLike) -> float:
-        p = as_point(y, dim=self.dim)
-        return float(np.linalg.norm(p.as_array() - self.center_array()))
-
-
-class RingPosition(Enum):
-    """Where a point sits relative to a spherical ring; exactly one label applies."""
-
-    INSIDE = "inside"
-    ON_INNER_SPHERE = "on_inner_sphere"
-    IN_OPEN_RING = "in_open_ring"
-    ON_OUTER_SPHERE = "on_outer_sphere"
-    OUTSIDE = "outside"
-
-
-def ring_membership(y: PointLike, ring: SphericalRing,
-                    tol: float = DEFAULT_SPHERE_TOL) -> RingPosition:
-    """Classify a finite point against the ring's spheres with absolute tolerance tol."""
-    p = as_point(y, dim=ring.dim)
-    if p.is_infinity:
-        raise ValueError("ring membership is defined for finite points only")
-    r = ring.radius_of(p)
-    if abs(r - ring.r_inner) <= tol:
-        return RingPosition.ON_INNER_SPHERE
-    if abs(r - ring.r_outer) <= tol:
-        return RingPosition.ON_OUTER_SPHERE
-    if r < ring.r_inner:
-        return RingPosition.INSIDE
-    if r > ring.r_outer:
-        return RingPosition.OUTSIDE
-    return RingPosition.IN_OPEN_RING
-
-
-@dataclass(frozen=True)
-class ChordalBall:
-    """Ball in the chordal metric; the center may be the point at infinity."""
-
-    center: ExtendedPoint
-    radius: float
-
-    def __post_init__(self):
-        if not (0.0 < self.radius <= 1.0):
-            raise ValueError("chordal radius must lie in (0, 1]")
-
-    def contains(self, x: PointLike) -> bool:
-        return chordal_distance(self.center, x) < self.radius

@@ -1,8 +1,8 @@
 """The mapping zoo: branched maps of a punctured ball with analytic derivative data.
 
 Members: identity, winding (k-fold angular wrap on the first two axes), radial
-stretch x -> |x|^(a-1) x, inversion x -> x/|x|^2, and compositions.  All fix the
-puncture center, carry exact derivatives and preimage formulas, and expose the
+stretch x -> |x|^(a-1) x and inversion x -> x/|x|^2.  All fix the puncture
+center, carry exact derivatives and preimage formulas, and expose the
 distortion coefficient, multiplicity, weight, curve lifting, and cluster-set
 sampling used by the inequality scenarios.
 """
@@ -16,15 +16,19 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, _directions
-from .geometry import ExtendedPoint, SphericalRing, chordal_distance, chordal_matrix
-from .modulus import masked_ring_volume, unit_sphere_area
+from .geometry import ExtendedPoint, chordal_distance, chordal_matrix
+from .modulus import unit_sphere_area
 
-ZOO_KINDS = ("identity", "winding", "radial_stretch", "inversion", "composition")
+MAPPING_KINDS = ("identity", "winding", "radial_stretch", "inversion")
 
 # Relative radius below which a lifted vertex counts as reaching the puncture.
 PUNCTURE_TOL = 1e-9
 # Two distinct preimage branches closer than this to equidistant are ambiguous.
 AMBIGUITY_TOL = 1e-6
+# Relative distance within which a lift's start must map to the curve's start.
+START_TOL = 1e-9
+# Chordal distance below which cluster-set images join one cluster.
+CLUSTER_THRESHOLD = 0.05
 
 COMPLETED = "completed"
 HIT_PUNCTURE = "hit_puncture"
@@ -47,12 +51,11 @@ class MappingSpec:
     dim: int = 2
     k: int = 1
     alpha: float = 1.0
-    parts: tuple["MappingSpec", ...] = ()
     center: tuple[float, ...] = ()
     epsilon0: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ZOO_KINDS:
+        if self.kind not in MAPPING_KINDS:
             raise ValueError(f"unknown mapping kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("dimension must be >= 2")
@@ -60,8 +63,6 @@ class MappingSpec:
             raise ValueError("winding order k must be a positive integer")
         if self.kind == "radial_stretch" and not self.alpha > 0:
             raise ValueError("stretch exponent must be positive")
-        if self.kind == "composition" and not self.parts:
-            raise ValueError("composition needs at least one part")
         if not self.center:
             object.__setattr__(self, "center", (0.0,) * self.dim)
         if len(self.center) != self.dim:
@@ -77,8 +78,6 @@ class MappingSpec:
             return f"winding(k={self.k})"
         if self.kind == "radial_stretch":
             return f"radial_stretch(alpha={self.alpha:g})"
-        if self.kind == "composition":
-            return " o ".join(p.describe() for p in reversed(self.parts))
         return self.kind
 
 
@@ -101,18 +100,6 @@ def inversion(dim: int = 2, center: Sequence[float] = (), epsilon0: float = 0.5)
     return MappingSpec("inversion", dim=dim, center=tuple(center), epsilon0=epsilon0)
 
 
-def composition(parts: Sequence[MappingSpec]) -> MappingSpec:
-    """Apply the parts in list order; domain data comes from the first part."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("composition needs at least one part")
-    first = parts[0]
-    if any(p.dim != first.dim for p in parts):
-        raise ValueError("composition parts must share one dimension")
-    return MappingSpec("composition", dim=first.dim, parts=parts,
-                       center=first.center, epsilon0=first.epsilon0)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -133,15 +120,10 @@ def _eval_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(r > 0.0, r ** (f.alpha - 1.0), 0.0)
         return scale * z
-    if f.kind == "inversion":
-        r2 = np.sum(z * z, axis=1, keepdims=True)
-        if np.any(r2 == 0.0):
-            raise DomainError("inversion is undefined at the puncture")
-        return z / r2
-    out = z
-    for part in f.parts:
-        out = _eval_rel(part, out)
-    return out
+    r2 = np.sum(z * z, axis=1, keepdims=True)  # inversion
+    if np.any(r2 == 0.0):
+        raise DomainError("inversion is undefined at the puncture")
+    return z / r2
 
 
 def evaluate(f: MappingSpec, x) -> np.ndarray:
@@ -187,18 +169,11 @@ def _derivative_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
             raise DomainError("stretch derivative is undefined at the puncture")
         u = z / r
         return r ** (f.alpha - 1.0) * (np.eye(n) + (f.alpha - 1.0) * np.outer(u, u))
-    if f.kind == "inversion":
-        r2 = float(z @ z)
-        if r2 == 0.0:
-            raise DomainError("inversion derivative is undefined at the puncture")
-        u = z / math.sqrt(r2)
-        return (np.eye(n) - 2.0 * np.outer(u, u)) / r2
-    M = np.eye(n)
-    w = z
-    for part in f.parts:
-        M = _derivative_rel(part, w) @ M
-        w = _eval_rel(part, w[None, :])[0]
-    return M
+    r2 = float(z @ z)  # inversion
+    if r2 == 0.0:
+        raise DomainError("inversion derivative is undefined at the puncture")
+    u = z / math.sqrt(r2)
+    return (np.eye(n) - 2.0 * np.outer(u, u)) / r2
 
 
 def derivative_matrix(f: MappingSpec, x) -> np.ndarray:
@@ -263,34 +238,17 @@ def distortion_at(f: MappingSpec, x, mode: str = "analytic",
 
 def multiplicity(f: MappingSpec) -> int:
     """Maximal number of preimages of an image point."""
-    if f.kind == "winding":
-        return f.k
-    if f.kind == "composition":
-        out = 1
-        for part in f.parts:
-            out *= multiplicity(part)
-        return out
-    return 1
+    return f.k if f.kind == "winding" else 1
 
 
 def sup_distortion(f: MappingSpec) -> float:
-    """Essential supremum of K_O over the punctured ball (constant for the zoo).
-
-    For compositions this is the submultiplicative product of the parts, an
-    upper bound that is attained when the factors distort in the same sense
-    (e.g. nested windings) and remains a valid weight otherwise.
-    """
+    """Essential supremum of K_O over the punctured ball (constant for the zoo)."""
     n = f.dim
-    if f.kind == "identity" or f.kind == "inversion":
-        return 1.0
     if f.kind == "winding":
         return float(f.k) ** (n - 1)
     if f.kind == "radial_stretch":
         return max(f.alpha, 1.0) ** n / f.alpha
-    out = 1.0
-    for part in f.parts:
-        out *= sup_distortion(part)
-    return out
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +257,11 @@ def sup_distortion(f: MappingSpec) -> float:
 
 def image_ball(f: MappingSpec) -> tuple[str, float]:
     """The image of the punctured ball: ('ball', r) or ('exterior', r) about the center."""
-    shape, r = "ball", f.epsilon0
-    chain = f.parts if f.kind == "composition" else (f,)
-    for part in chain:
-        if part.kind == "radial_stretch":
-            r = r ** part.alpha
-        elif part.kind == "inversion":
-            r = 1.0 / r
-            shape = "exterior" if shape == "ball" else "ball"
-    return shape, r
+    if f.kind == "radial_stretch":
+        return "ball", f.epsilon0 ** f.alpha
+    if f.kind == "inversion":
+        return "exterior", 1.0 / f.epsilon0
+    return "ball", f.epsilon0
 
 
 def image_mask(f: MappingSpec):
@@ -332,31 +286,23 @@ def image_volume(f: MappingSpec) -> float:
 
 @dataclass
 class WeightQ:
-    """Constant weight N * K with its L1 norm over a stated image region."""
+    """Constant weight N * K with its L1 norm over the image."""
 
     value: float
     N: int
     K: float
     l1_norm: float
-    region: str
 
 
-def weight_Q(f: MappingSpec, image_region: SphericalRing | None = None) -> WeightQ:
-    """The weight Q = N(f) * sup K_O with its L1 norm over region (ring) or image.
+def weight_Q(f: MappingSpec) -> WeightQ:
+    """The weight Q = N(f) * sup K_O with its L1 norm over the whole image.
 
-    With no region the norm is taken over the whole image; an unbounded image
-    makes it infinite.
+    An unbounded image makes the norm infinite.
     """
     N = multiplicity(f)
     K = sup_distortion(f)
     value = N * K
-    if image_region is None:
-        vol = image_volume(f)
-        region = "image"
-    else:
-        vol = masked_ring_volume(image_region, image_mask(f))
-        region = (f"ring(r={image_region.r_inner:g},{image_region.r_outer:g})")
-    return WeightQ(value, N, K, value * vol, region)
+    return WeightQ(value, N, K, value * image_volume(f))
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +328,10 @@ def _preimages_rel(f: MappingSpec, w: np.ndarray) -> list[np.ndarray]:
         if r == 0.0:
             return []
         return [r ** (1.0 / f.alpha - 1.0) * w]
-    if f.kind == "inversion":
-        r2 = float(w @ w)
-        if r2 == 0.0:
-            return []
-        return [w / r2]
-    layers = [w.copy()]
-    for part in reversed(f.parts):
-        nxt = []
-        for y in layers:
-            nxt.extend(_preimages_rel(part, y))
-        layers = nxt
-    return layers
+    r2 = float(w @ w)  # inversion
+    if r2 == 0.0:
+        return []
+    return [w / r2]
 
 
 def preimages(f: MappingSpec, y) -> list[np.ndarray]:
@@ -404,8 +342,7 @@ def preimages(f: MappingSpec, y) -> list[np.ndarray]:
     return [f.center_array() + z for z in _preimages_rel(f, w)]
 
 
-def lift_curve(f: MappingSpec, image_curve: Curve, start,
-               start_tol: float = 1e-9) -> tuple[Curve, str]:
+def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
     """Lift an image curve through f, continuing along the nearest preimage branch.
 
     The lift begins at `start` (which must map to the curve's first vertex) and
@@ -414,7 +351,7 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start,
     """
     start = np.asarray(start, dtype=float).ravel()
     first = image_curve.vertices[0]
-    if np.linalg.norm(evaluate(f, start) - first) > start_tol * max(1.0, float(np.linalg.norm(first))):
+    if np.linalg.norm(evaluate(f, start) - first) > START_TOL * max(1.0, float(np.linalg.norm(first))):
         raise ValueError("start point does not map to the first image vertex")
     c = f.center_array()
     eps0 = f.epsilon0
@@ -459,12 +396,11 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start,
 # ---------------------------------------------------------------------------
 
 def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
-                         samples_per_radius: int = 64,
-                         threshold: float = 0.05) -> list[ExtendedPoint]:
+                         samples_per_radius: int = 64) -> list[ExtendedPoint]:
     """Representative limit points of f along spheres shrinking to the puncture.
 
     Images on the two smallest sample spheres are clustered by single linkage in
-    the chordal metric at the given threshold; each cluster is reported by its
+    the chordal metric at CLUSTER_THRESHOLD; each cluster is reported by its
     medoid, snapped to the point at infinity when the medoid is within the
     threshold of it.
     """
@@ -480,21 +416,21 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
     dist = chordal_matrix(images, images)
     # single linkage at the chordal threshold: the components of dist < threshold
     from scipy.sparse.csgraph import connected_components
-    count, labels = connected_components(dist < threshold, directed=False)
+    count, labels = connected_components(dist < CLUSTER_THRESHOLD, directed=False)
 
     reps = []
     for label in range(count):
         members = np.flatnonzero(labels == label)
         sums = dist[np.ix_(members, members)].sum(axis=1)
         medoid = ExtendedPoint.of(images[members[np.argmin(sums)]])
-        if chordal_distance(medoid, ExtendedPoint.infinity(f.dim)) < threshold:
+        if chordal_distance(medoid, ExtendedPoint.infinity(f.dim)) < CLUSTER_THRESHOLD:
             reps.append(ExtendedPoint.infinity(f.dim))
         else:
             reps.append(medoid)
     # deduplicate representatives (e.g. several clusters near infinity)
     unique: list[ExtendedPoint] = []
     for r in reps:
-        if all(chordal_distance(r, u) >= threshold for u in unique):
+        if all(chordal_distance(r, u) >= CLUSTER_THRESHOLD for u in unique):
             unique.append(r)
     return unique
 

@@ -298,15 +298,14 @@ def discrete_modulus(family: CurveFamily, grid: GridSpec, p: float | None = None
                          residual, m, float(min(lower, value)))
 
 
-def ring_grid(ring: SphericalRing, resolution: int, family_size: int,
-              match: float = 1.0) -> GridSpec:
+def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpec:
     """Square grid centered on a ring, sized so cells match the curve spacing.
 
     A family of `family_size` curves equidistributed over directions is spaced
     2 pi r_outer / family_size apart (n = 2) at the outer sphere.  Cells finer
     than that spacing let the minimizing density collapse onto per-curve tubes
     and undershoot badly, so the box half-width is grown (never below the ring
-    itself) until the cell size equals `match` times the spacing.
+    itself) until the cell size equals that spacing.
     """
     r2 = ring.r_outer
     n = ring.dim
@@ -316,18 +315,18 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int,
         spacing = math.sqrt(4.0 * math.pi * r2 * r2 / family_size)
     else:
         raise ValueError("ring grids support dimensions 2 and 3 only")
-    half = max(r2 * (1.0 + 2.0 / resolution), match * spacing * resolution / 2.0)
+    half = max(r2 * (1.0 + 2.0 / resolution), spacing * resolution / 2.0)
     c = ring.center_array()
     return GridSpec(tuple(c - half), tuple(c + half), (resolution,) * n)
 
 
-def family_grid(family: CurveFamily, resolution: int, pad: float = 0.05) -> GridSpec:
-    """Bounding-box grid around a family, padded by a fraction of its extent."""
+def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
+    """Bounding-box grid around a family, padded by 5% of its extent on each side."""
     pts = np.vstack([c.vertices for c in family])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     extent = np.maximum(hi - lo, 1e-12)
-    return GridSpec(tuple(lo - pad * extent), tuple(hi + pad * extent),
+    return GridSpec(tuple(lo - 0.05 * extent), tuple(hi + 0.05 * extent),
                     (resolution,) * family.dim)
 
 
@@ -398,40 +397,30 @@ def weighted_rhs_integral(Q: float, eta: EtaFunction, ring: SphericalRing,
     return float(Q) * unit_sphere_area(ring.dim) * radial
 
 
-def masked_ring_volume(ring: SphericalRing,
-                       domain_mask: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-    """Volume of the ring intersected with a mask, by the same radial rule."""
-    eta = uniform_eta(ring.r_inner, ring.r_outer)
-    scale = (ring.r_outer - ring.r_inner) ** ring.dim  # cancel eta^n
-    return scale * weighted_rhs_integral(1.0, eta, ring, domain_mask)
-
-
 # ---------------------------------------------------------------------------
 # Blow-up experiment
 # ---------------------------------------------------------------------------
 
 def blowup_family(separation: float, grid: GridSpec, eps0: float = 1.0,
-                  far_fraction: float = 0.9, arcs_per_octave: int = 8,
-                  center: Sequence[float] = (0.0, 0.0),
-                  vertex_budget: int = 128) -> CurveFamily:
+                  center: Sequence[float] = (0.0, 0.0)) -> CurveFamily:
     """Circular arcs joining two radial segments that approach the puncture.
 
     The segments sit on the positive and negative first axis, reaching from the
-    separation radius out to far_fraction * eps0 inside the punctured ball.  The
-    arc radii decrease geometrically (arcs_per_octave per factor two) down to
-    max(separation, half a grid cell), so families at smaller separations are
-    supersets of families at larger ones.
+    separation radius out to 0.9 * eps0 inside the punctured ball.  The arcs
+    have 128 vertices each, and their radii decrease geometrically (eight per
+    factor two) down to max(separation, half a grid cell), so families at
+    smaller separations are supersets of families at larger ones.
     """
     c = np.asarray(center, dtype=float)
     if len(c) != 2:
         raise ValueError("the blow-up experiment is planar")
     h_min = float(np.min(grid.spacing))
     floor = max(separation, 0.5 * h_min)
-    ratio = 2.0 ** (-1.0 / arcs_per_octave)
+    ratio = 2.0 ** (-1.0 / 8)
+    th = np.linspace(0.0, math.pi, 128)
     curves = []
-    r = far_fraction * eps0
+    r = 0.9 * eps0
     while r >= floor and r > 0.0:
-        th = np.linspace(0.0, math.pi, vertex_budget)
         upper = c + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         lower = c + np.stack([r * np.cos(th), -r * np.sin(th)], axis=1)
         curves.append(Curve(upper))
@@ -443,7 +432,6 @@ def blowup_family(separation: float, grid: GridSpec, eps0: float = 1.0,
 
 
 def blowup_experiment(separation: float, resolution: int, eps0: float = 1.0,
-                      far_fraction: float = 0.9, arcs_per_octave: int = 8,
                       tol: float = 3e-3, budget: int = DEFAULT_BUDGET,
                       center: Sequence[float] = (0.0, 0.0)) -> float:
     """Discrete modulus of curves joining two continua that run toward a puncture.
@@ -455,7 +443,6 @@ def blowup_experiment(separation: float, resolution: int, eps0: float = 1.0,
         raise ValueError("separation must be >= 0")
     c = np.asarray(center, dtype=float)
     grid = GridSpec(tuple(c - eps0), tuple(c + eps0), (resolution, resolution))
-    family = blowup_family(separation, grid, eps0, far_fraction, arcs_per_octave,
-                           center=c)
+    family = blowup_family(separation, grid, eps0, center=c)
     result = discrete_modulus(family, grid, p=2.0, tol=tol, budget=budget)
     return result.value

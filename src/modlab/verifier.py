@@ -3,27 +3,25 @@
 Builds the family of domain curves whose images cross a given image ring,
 checks the weighted upper bound on its modulus against a library of admissible
 test functions, evaluates the total-weight bound driven by the uniform test
-function, estimates the continuity modulus constant, and stages the blow-up
-versus fixed-bound contradiction experiment.
+function, and estimates the continuity modulus constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurveFamily, resample
+from .curves import CurveFamily, resample
 from .geometry import SphericalRing
 from .mappings import (DomainError, MappingSpec, evaluate_many, image_ball,
                        image_mask, lift_curve, multiplicity, preimages,
-                       sup_distortion, weight_Q, with_domain, HIT_PUNCTURE)
+                       sup_distortion, weight_Q, with_domain)
 from .modulus import (EtaFunction, ModulusResult, admissible_check,
-                      blowup_experiment, discrete_modulus, power_eta,
-                      reciprocal_eta, ring_grid, uniform_eta,
-                      weighted_rhs_integral)
+                      discrete_modulus, power_eta, reciprocal_eta, ring_grid,
+                      uniform_eta, weighted_rhs_integral)
 
 # Discrete modulus carries the dominant error; closed-form sides are exact.
 DEFAULT_REL_TOL = 0.02
@@ -35,25 +33,24 @@ def default_etas(r1: float, r2: float) -> list[EtaFunction]:
     return [uniform_eta(r1, r2), reciprocal_eta(r1, r2), power_eta(r1, r2, 1.0)]
 
 
-def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float, count: int,
-                  kind: str = "radial",
-                  vertex_budget: int = LIFT_VERTEX_BUDGET) -> CurveFamily:
+def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
+                       count: int) -> CurveFamily:
     """Domain curves whose images join the spheres of the image ring A(y0, r1, r2).
 
-    The image ring family is generated, each member is resampled for stable
-    branch tracking and lifted from every preimage of its initial point, and the
-    lifted curves form the returned family (k branches per image curve for a
-    k-fold winding).
+    The radial image ring family is generated, each member is resampled to
+    LIFT_VERTEX_BUDGET vertices for stable branch tracking and lifted from every
+    preimage of its initial point, and the lifted curves form the returned
+    family (k branches per image curve for a k-fold winding).
     """
     from .curves import generate_ring_family
 
     y0 = np.asarray(y0, dtype=float).ravel()
     ring = SphericalRing(tuple(y0), r1, r2)
-    image_family = generate_ring_family(ring, count, kind=kind)
+    image_family = generate_ring_family(ring, count)
     c = f.center_array()
     lifted = []
     for i, image_curve in enumerate(image_family):
-        curve = resample(image_curve, vertex_budget)
+        curve = resample(image_curve, LIFT_VERTEX_BUDGET)
         starts = []
         for z in preimages(f, curve.vertices[0]):
             rad = float(np.linalg.norm(z - c))
@@ -68,7 +65,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float, count: int,
             except Exception as exc:
                 raise type(exc)(f"image curve {i}: {exc}") from exc
             lifted.append(lift)
-    label = (f"lifts of {kind}({count}) in ring(r={r1:g},{r2:g}) "
+    label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
              f"through {f.describe()} ({len(lifted)} curves)")
     return CurveFamily(lifted, label)
 
@@ -275,98 +272,3 @@ def continuity_bound(f: MappingSpec, x0, r0: float, sample_count: int = 200,
                zip(radii, lhs, rhs_factor)]
     return ContinuityReport(g.describe(), tuple(x0), r0, samples, estimated,
                             wq.l1_norm)
-
-
-@dataclass
-class ScenarioReport:
-    """Blow-up against the fixed total-weight bound, with curve tails lifted."""
-
-    mapping: str
-    x0: tuple[float, ...]
-    eps0: float
-    separations: list[float]
-    moduli: list[float]
-    bound: float
-    eps_pair: tuple[float, float]
-    lift_statuses: list[str]
-    crossover_index: int | None
-    note: str
-    q_l1_norm: float = 0.0
-    tail_curves: list[Curve] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": "blowup",
-            "mapping": self.mapping,
-            "x0": list(self.x0),
-            "eps0": self.eps0,
-            "separations": self.separations,
-            "moduli": self.moduli,
-            "bound": self.bound,
-            "eps_pair": list(self.eps_pair),
-            "lift_statuses": self.lift_statuses,
-            "crossover_index": self.crossover_index,
-            "q_l1_norm": self.q_l1_norm,
-            "note": self.note,
-        }
-
-
-def singularity_scenario(f: MappingSpec, x0, eps0: float,
-                         separations: Sequence[float], resolution: int = 192,
-                         eps1_frac: float = 0.2, eps1_star_frac: float = 0.9,
-                         solver_tol: float = 3e-3,
-                         budget: int = 400_000) -> ScenarioReport:
-    """Exhibit the mechanism that forces continuity across the puncture.
-
-    Two image segments running into the puncture's image are lifted (their lifts
-    terminate at the puncture), and the modulus of curves joining two continua
-    that approach the puncture is swept over the separations.  That sequence
-    grows without bound while the weighted bound for any fixed ring stays
-    finite, so past some separation the two are incompatible; the first index
-    where the modulus exceeds the bound is reported when reached.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    g = with_domain(f, x0, eps0)
-    if g.dim != 2:
-        raise ValueError("the blow-up scenario is planar")
-    shape, r_img = image_ball(g)
-    if shape != "ball":
-        raise ValueError("scenario needs a bounded image (integrable weight)")
-
-    # two image tails running into the puncture's image from opposite sides
-    statuses = []
-    tails = []
-    for sign in (1.0, -1.0):
-        a = x0 + np.array([sign * 0.3 * r_img, 0.0])
-        ts = np.linspace(0.0, 1.0, 64)
-        pts = a[None, :] + ts[:, None] * (x0 - a)[None, :]
-        tail = Curve(pts)
-        start = None
-        for z in preimages(g, a):
-            if 0.0 < np.linalg.norm(z - x0) <= eps0:
-                start = z
-                break
-        if start is None:
-            raise ValueError("image tail start has no preimage in the ball")
-        lift, status = lift_curve(g, tail, start)
-        statuses.append(status)
-        tails.append(lift)
-
-    wq = weight_Q(g)
-    eps1 = eps1_frac * r_img
-    eps1_star = eps1_star_frac * r_img
-    bound = wq.l1_norm / (eps1_star - eps1) ** g.dim
-
-    moduli = [blowup_experiment(sep, resolution, eps0=eps0, tol=solver_tol,
-                                budget=budget, center=tuple(x0))
-              for sep in separations]
-    crossover = next((i for i, v in enumerate(moduli) if v > bound), None)
-    if all(s == HIT_PUNCTURE for s in statuses):
-        note = ("both image tails lift to curves ending at the puncture; the zoo "
-                "member extends continuously there, so the two tails share a "
-                "single limit point and the contradiction stays hypothetical")
-    else:
-        note = "a lifted tail left through the bounding sphere"
-    return ScenarioReport(g.describe(), tuple(x0), eps0, [float(s) for s in separations],
-                          moduli, bound, (eps1, eps1_star), statuses, crossover,
-                          note, wq.l1_norm, tails)

@@ -2,9 +2,11 @@
 
 import configparser
 import csv
+import io
 import json
 
 import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modlab import cli
@@ -107,6 +109,7 @@ k = 3
                                       "values = 32.7, 48.2\n[output]"}, "sweep"),
         ("solver.resolutoin", {"resolution = 64": "resolutoin = 32"}, "run"),
         ("[solvr]", {"[solver]": "[solvr]"}, "run"),
+        ("solver.seed", {"seed = 7": "seed = -1"}, "run"),
     ])
     def test_bad_value_named(self, tmp_path, capsys, field, edits, command):
         out = tmp_path / "out"
@@ -150,6 +153,24 @@ resolution = 24
 """))
         cfg.validate()
         assert cfg.center == cfg.y0 == (0.0, 0.0, 0.0)
+
+    def test_absent_resolution_in_3d(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.ini", f"""
+[scenario]
+kind = poletski
+[mapping]
+kind = winding
+k = 3
+dim = 3
+[solver]
+curve_count = 64
+[output]
+out_dir = {out}
+""")
+        assert cli.load_config(path).resolution == cli.RESOLUTION_3D == 24
+        assert cli.run(path) == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["resolution"] == 24
 
     def test_unknown_scenario(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path)
@@ -233,6 +254,36 @@ out_dir = {out}
         report = json.loads((out / "report.json").read_text())
         rec = report["results"][0]
         assert abs(rec["relative_error"]) < 0.08
+
+    def test_density_csv_bytes(self, tmp_path):
+        """density.csv equals per-row csv.writer formatting of the run's density."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.ini", f"""
+[scenario]
+kind = ring_modulus
+[geometry]
+r1 = 1.0
+r2 = 2.0
+[solver]
+resolution = 48
+curve_count = 48
+[output]
+out_dir = {out}
+""")
+        assert cli.run(path) == 0
+        density = cli.run_scenario(cli.load_config(path))["_density"].density
+        flat = density.flat()
+        nz = np.nonzero(flat)[0]
+        centers = density.spec.cell_center(nz)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["cell_index"] + [f"x{a}" for a in range(density.spec.dim)]
+                        + ["rho"])
+        for i, idx in enumerate(nz):
+            writer.writerow([int(idx)] + [f"{c:.9g}" for c in centers[i]]
+                            + [f"{flat[idx]:.9g}"])
+        assert len(nz) > 100
+        assert (out / "density.csv").read_bytes() == expected.getvalue().encode()
 
     def test_cluster_set_scenario(self, tmp_path):
         out = tmp_path / "out"

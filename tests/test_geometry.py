@@ -1,4 +1,4 @@
-"""Chordal metric, extended points, and ring classification."""
+"""Chordal metric, extended points, and spherical rings."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from modlab.geometry import (ChordalBall, ExtendedPoint, RingPosition,
-                             SphericalRing, chordal_distance,
-                             chordal_set_distance, ring_membership)
+from modlab.geometry import (ExtendedPoint, SphericalRing, chordal_distance,
+                             chordal_matrix)
 
 INF2 = ExtendedPoint.infinity(2)
 
@@ -85,13 +84,10 @@ class TestChordalDistance:
 
 
 class TestChordalSetDistance:
-    def test_origin_vs_infinity(self):
-        assert chordal_set_distance([[0.0, 0.0]], [INF2]) == 1.0
-
     def test_identical_sets(self):
         th = np.linspace(0, 2 * math.pi, 360, endpoint=False)
         circle = np.stack([np.cos(th), np.sin(th)], axis=1)
-        assert chordal_set_distance(circle, circle) == 0.0
+        assert chordal_matrix(circle, circle).min() == 0.0
 
     def test_concentric_circles(self):
         th = np.linspace(0, 2 * math.pi, 360, endpoint=False)
@@ -100,45 +96,7 @@ class TestChordalSetDistance:
         # brute-force oracle over all sampled pairs
         best = min(chordal_distance(a, b) for a in inner for b in outer)
         assert best == pytest.approx(0.4472135954999579, abs=1e-12)
-        assert chordal_set_distance(inner, outer) == pytest.approx(best, abs=1e-15)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            chordal_set_distance([], [[0.0, 0.0]])
-
-
-class TestRingMembership:
-    RING = SphericalRing((0.0, 0.0), 1.0, 2.0)
-
-    @pytest.mark.parametrize("y,expected", [
-        ((1.5, 0.0), RingPosition.IN_OPEN_RING),
-        ((1.0, 0.0), RingPosition.ON_INNER_SPHERE),
-        ((3.0, 0.0), RingPosition.OUTSIDE),
-        ((0.2, 0.1), RingPosition.INSIDE),
-        ((0.0, 2.0), RingPosition.ON_OUTER_SPHERE),
-    ])
-    def test_examples(self, y, expected):
-        assert ring_membership(y, self.RING, tol=1e-12) is expected
-
-    def test_partition(self):
-        rng = np.random.default_rng(11)
-        ref = {
-            RingPosition.ON_INNER_SPHERE: lambda r: abs(r - 1.0) <= 1e-9,
-            RingPosition.ON_OUTER_SPHERE: lambda r: abs(r - 2.0) <= 1e-9,
-            RingPosition.INSIDE: lambda r: r < 1.0,
-            RingPosition.OUTSIDE: lambda r: r > 2.0,
-            RingPosition.IN_OPEN_RING: lambda r: 1.0 < r < 2.0,
-        }
-        for _ in range(500):
-            y = rng.uniform(-3, 3, 2)
-            label = ring_membership(y, self.RING)
-            r = float(np.linalg.norm(y))
-            if min(abs(r - 1.0), abs(r - 2.0)) > 2e-9:
-                assert ref[label](r)
-
-    def test_tolerance_window(self):
-        assert ring_membership((1.0 + 5e-10, 0.0), self.RING) is RingPosition.ON_INNER_SPHERE
-        assert ring_membership((1.0 + 5e-6, 0.0), self.RING) is RingPosition.IN_OPEN_RING
+        assert chordal_matrix(inner, outer).min() == pytest.approx(best, abs=1e-15)
 
 
 class TestTypes:
@@ -153,10 +111,3 @@ class TestTypes:
             ExtendedPoint.of([math.nan, 0.0])
         with pytest.raises(ValueError):
             ExtendedPoint((1.0,), 1)
-
-    def test_chordal_ball(self):
-        ball = ChordalBall(INF2, 0.25)
-        assert ball.contains([100.0, 0.0])
-        assert not ball.contains([1.0, 0.0])
-        with pytest.raises(ValueError):
-            ChordalBall(INF2, 1.5)

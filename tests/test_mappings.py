@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from modlab.curves import Curve
-from modlab.geometry import SphericalRing, chordal_distance
+from modlab.geometry import chordal_distance
 from modlab.mappings import (DomainError, LiftingAmbiguity, MappingSpec,
-                             cluster_set_estimate, composition,
+                             cluster_set_estimate,
                              derivative_matrix, distortion_at,
                              distortion_from_matrix, evaluate, evaluate_many,
                              finite_difference_derivative, identity, image_ball,
@@ -46,12 +46,6 @@ class TestEvaluate:
     def test_translated_center(self):
         f = radial_stretch(2.0, center=(1.0, 1.0))
         assert np.allclose(evaluate(f, [1.5, 1.0]), [1.25, 1.0])
-
-    def test_composition_order(self):
-        f = composition([radial_stretch(2.0), winding(3)])
-        x = [0.4, 0.0]
-        expected = evaluate(winding(3), evaluate(radial_stretch(2.0), x))
-        assert np.allclose(evaluate(f, x), expected)
 
 
 class TestDistortion:
@@ -104,29 +98,6 @@ class TestDistortion:
                     continue
                 assert distortion_at(f, x).K_O >= 1.0 - 1e-12
 
-    def test_composition_submultiplicative(self):
-        rng = np.random.default_rng(4)
-        for f1, f2 in [(winding(2), radial_stretch(3.0)),
-                       (winding(2), winding(3)),
-                       (radial_stretch(0.5), winding(2))]:
-            comp = composition([f1, f2])
-            for _ in range(20):
-                x = rng.uniform(-0.5, 0.5, 2)
-                if np.linalg.norm(x) < 1e-2:
-                    continue
-                k_comp = distortion_at(comp, x).K_O
-                k_prod = distortion_at(f1, x).K_O * distortion_at(f2, evaluate(f1, x)).K_O
-                assert k_comp <= k_prod * (1.0 + 1e-9)
-
-    def test_composition_equality_when_aligned(self):
-        # an angular wrap after a compressing stretch distorts in the same
-        # sense, so the distortions multiply exactly
-        comp = composition([radial_stretch(0.5), winding(2)])
-        k = distortion_at(comp, [0.3, 0.1]).K_O
-        assert k == pytest.approx(4.0, rel=1e-9)  # 2 (stretch) x 2 (winding)
-        nested = composition([winding(2), winding(3)])
-        assert distortion_at(nested, [0.2, 0.2]).K_O == pytest.approx(6.0, rel=1e-9)
-
     def test_chart_singularity(self):
         with pytest.raises(DomainError):
             derivative_matrix(winding(2, dim=3), [0.0, 0.0, 0.3])
@@ -143,20 +114,23 @@ class TestDistortion:
 
 class TestWeight:
     def test_identity_weight_on_annulus(self):
-        f = identity(epsilon0=2.5)
-        wq = weight_Q(f, SphericalRing((0.0, 0.0), 1.0, 2.0))
-        assert wq.value == 1.0 and wq.N == 1
-        assert wq.l1_norm == pytest.approx(3 * math.pi, rel=5e-3)
+        # the annulus 1 < |y| < 2 is the image of radius 2 less that of radius 1
+        outer = weight_Q(identity(epsilon0=2.0))
+        inner = weight_Q(identity(epsilon0=1.0))
+        assert outer.value == 1.0 and outer.N == 1
+        assert outer.l1_norm - inner.l1_norm == pytest.approx(3 * math.pi, rel=1e-12)
 
     def test_winding_weight(self):
-        wq = weight_Q(winding(3, epsilon0=1.0), SphericalRing((0.0, 0.0), 0.25, 0.5))
+        wq = weight_Q(winding(3, epsilon0=1.0))
         assert wq.N == 3 and wq.K == pytest.approx(3.0)
         assert wq.value == pytest.approx(9.0)
+        assert wq.l1_norm == pytest.approx(9.0 * math.pi, rel=1e-12)
 
     def test_stretch_weight(self):
-        wq = weight_Q(radial_stretch(2.0, epsilon0=1.0),
-                      SphericalRing((0.0, 0.0), 0.25, 0.5))
+        # the image of the unit ball under |x| -> |x|^2 is the unit ball
+        wq = weight_Q(radial_stretch(2.0, epsilon0=1.0))
         assert wq.N == 1 and wq.value == pytest.approx(2.0)
+        assert wq.l1_norm == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_inversion_weight_unbounded_image(self):
         wq = weight_Q(inversion())
@@ -164,7 +138,6 @@ class TestWeight:
 
     def test_multiplicities(self):
         assert multiplicity(winding(4)) == 4
-        assert multiplicity(composition([winding(2), winding(3)])) == 6
         assert multiplicity(radial_stretch(2.0)) == 1
 
     def test_image_regions(self):
@@ -304,9 +277,7 @@ class TestSpecValidation:
             winding(0)
         with pytest.raises(ValueError):
             radial_stretch(-1.0)
-        with pytest.raises(ValueError):
-            composition([])
 
     def test_describe(self):
-        f = composition([winding(2), radial_stretch(3.0)])
-        assert "winding" in f.describe() and "radial_stretch" in f.describe()
+        assert winding(2).describe() == "winding(k=2)"
+        assert radial_stretch(3.0).describe() == "radial_stretch(alpha=3)"

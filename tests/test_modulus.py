@@ -11,7 +11,7 @@ from modlab.geometry import SphericalRing
 from modlab.mappings import image_mask, inversion, radial_stretch, winding
 from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
                             blowup_experiment, discrete_modulus, family_grid,
-                            masked_ring_volume, power_eta, reciprocal_eta,
+                            power_eta, reciprocal_eta,
                             ring_grid, ring_modulus_analytic, uniform_eta,
                             unit_sphere_area, weighted_rhs_integral)
 
@@ -96,9 +96,15 @@ def ball_share(dim: int, d: float, R: float, r: float) -> float:
 class TestWeightedRhsIntegral:
     RING = SphericalRing((0.0, 0.0), 1.0, 2.0)
 
-    def test_uniform_eta_gives_annulus_area(self):
-        value = weighted_rhs_integral(1.0, uniform_eta(1.0, 2.0), self.RING, n=2)
-        assert value == pytest.approx(3 * math.pi, rel=1e-12)
+    @pytest.mark.parametrize("dim, r1, r2, volume", [
+        (2, 1.0, 2.0, 3 * math.pi),
+        (3, 0.5, 1.0, 4 * math.pi / 3 * (1.0 - 0.125)),
+    ], ids=["2d", "3d"])
+    def test_uniform_eta_gives_annulus_area(self, dim, r1, r2, volume):
+        # uniform eta is 1/(r2 - r1), so the right-hand side is volume / (r2 - r1)^n
+        ring = SphericalRing((0.0,) * dim, r1, r2)
+        value = weighted_rhs_integral(1.0, uniform_eta(r1, r2), ring)
+        assert value * (r2 - r1) ** dim == pytest.approx(volume, rel=1e-12)
 
     def test_linear_in_q(self):
         eta = uniform_eta(1.0, 2.0)
@@ -163,15 +169,6 @@ class TestWeightedRhsIntegral:
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
         with pytest.raises(ValueError):
             weighted_rhs_integral(1.0, bad, self.RING, n=2)
-
-    def test_masked_volume(self):
-        vol = masked_ring_volume(self.RING)
-        assert vol == pytest.approx(3 * math.pi, rel=1e-12)
-
-    def test_masked_volume_3d(self):
-        ring = SphericalRing((0.0, 0.0, 0.0), 0.5, 1.0)
-        vol = masked_ring_volume(ring)
-        assert vol == pytest.approx(4 * math.pi / 3 * (1.0 - 0.125), rel=1e-12)
 
 
 def unit_square_family(count):

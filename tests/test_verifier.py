@@ -1,15 +1,14 @@
-"""Scenario orchestration: lifted families, inequality checks, continuity, blow-up."""
+"""Scenario orchestration: lifted families, inequality checks, continuity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from modlab.mappings import (identity, inversion, radial_stretch, winding,
-                             HIT_PUNCTURE)
+from modlab.mappings import identity, inversion, radial_stretch, winding
 from modlab.modulus import reciprocal_eta, uniform_eta
 from modlab.verifier import (lifted_ring_family, continuity_bound, weight_bound_check,
-                             singularity_scenario, verify_poletski)
+                             verify_poletski)
 
 
 class TestBuildGammaF:
@@ -165,30 +164,3 @@ class TestContinuityBound:
     def test_unbounded_image_rejected(self):
         with pytest.raises(ValueError):
             continuity_bound(inversion(epsilon0=1.0), [0.0, 0.0], 0.25, 50)
-
-
-class TestSingularityScenario:
-    def test_winding_tails_and_growth(self):
-        seps = [0.4, 0.2, 0.1, 0.05]
-        rep = singularity_scenario(winding(2), [0.0, 0.0], 1.0, seps,
-                                   resolution=128)
-        assert rep.lift_statuses == [HIT_PUNCTURE, HIT_PUNCTURE]
-        assert all(b > a for a, b in zip(rep.moduli, rep.moduli[1:]))
-        assert math.isfinite(rep.bound)
-        assert "single limit point" in rep.note
-        d = rep.to_dict()
-        assert d["scenario"] == "blowup" and len(d["moduli"]) == len(seps)
-
-    def test_crossover_reported_when_reached(self):
-        # a tight ring pair makes the fixed bound small enough to cross
-        rep = singularity_scenario(identity(), [0.0, 0.0], 1.0,
-                                   [0.4, 0.1, 0.025, 0.00625],
-                                   resolution=128, eps1_frac=0.05,
-                                   eps1_star_frac=0.95)
-        assert rep.bound == pytest.approx(math.pi / 0.9 ** 2, rel=1e-6)
-        if rep.crossover_index is not None:
-            assert rep.moduli[rep.crossover_index] > rep.bound
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            singularity_scenario(identity(dim=3), [0.0, 0.0, 0.0], 1.0, [0.5])
