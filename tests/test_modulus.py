@@ -96,15 +96,27 @@ def ball_share(dim: int, d: float, R: float, r: float) -> float:
 class TestWeightedRhsIntegral:
     RING = SphericalRing((0.0, 0.0), 1.0, 2.0)
 
-    @pytest.mark.parametrize("dim, r1, r2, volume", [
-        (2, 1.0, 2.0, 3 * math.pi),
-        (3, 0.5, 1.0, 4 * math.pi / 3 * (1.0 - 0.125)),
-    ], ids=["2d", "3d"])
-    def test_uniform_eta_gives_annulus_area(self, dim, r1, r2, volume):
-        # uniform eta is 1/(r2 - r1), so the right-hand side is volume / (r2 - r1)^n
-        ring = SphericalRing((0.0,) * dim, r1, r2)
-        value = weighted_rhs_integral(1.0, uniform_eta(r1, r2), ring)
-        assert value * (r2 - r1) ** dim == pytest.approx(volume, rel=1e-12)
+    def test_uniform_eta_gives_annulus_area(self):
+        value = weighted_rhs_integral(1.0, uniform_eta(1.0, 2.0), self.RING, n=2)
+        assert value == pytest.approx(3 * math.pi, rel=1e-12)
+
+    @staticmethod
+    def masked_volume(ring):
+        # uniform eta is 1/(r2 - r1), so the right-hand side is volume / (r2 - r1)^n;
+        # a mask that admits every point must leave the volume whole
+        r1, r2 = ring.r_inner, ring.r_outer
+        value = weighted_rhs_integral(1.0, uniform_eta(r1, r2), ring,
+                                      domain_mask=lambda p: np.ones(len(p), bool))
+        return value * (r2 - r1) ** ring.dim
+
+    def test_masked_volume(self):
+        vol = self.masked_volume(self.RING)
+        assert vol == pytest.approx(3 * math.pi, rel=1e-12)
+
+    def test_masked_volume_3d(self):
+        ring = SphericalRing((0.0, 0.0, 0.0), 0.5, 1.0)
+        vol = self.masked_volume(ring)
+        assert vol == pytest.approx(4 * math.pi / 3 * (1.0 - 0.125), rel=1e-12)
 
     def test_linear_in_q(self):
         eta = uniform_eta(1.0, 2.0)
