@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import SphericalRing
+from .geometry import DEFAULT_SPHERE_TOL, SphericalRing, row_dot
 
 # Vertex budget used when sampling smooth curve prototypes.
 DEFAULT_VERTEX_BUDGET = 512
@@ -195,48 +195,43 @@ class GridDensity:
         return self.values.ravel()
 
 
-def _segment_cell_lengths(spec: GridSpec, a: np.ndarray, b: np.ndarray):
-    """Split segment a->b at grid planes; return (flat cell indices, lengths)."""
-    d = b - a
-    length = math.sqrt(float(d @ d))
-    if length == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    lo = np.asarray(spec.lo)
-    h = spec.spacing
-    pieces = [np.array([0.0, 1.0])]
-    for k in range(spec.dim):
-        if d[k] == 0.0:
-            continue
-        c0 = (a[k] - lo[k]) / h[k]
-        c1 = (b[k] - lo[k]) / h[k]
-        jlo, jhi = math.ceil(min(c0, c1)), math.floor(max(c0, c1))
-        if jhi >= jlo:
-            t = (lo[k] + np.arange(jlo, jhi + 1) * h[k] - a[k]) / d[k]
-            pieces.append(t[(t > 0.0) & (t < 1.0)])
-    ts = np.unique(np.concatenate(pieces))
-    dt = ts[1:] - ts[:-1]
-    keep = dt > 1e-13  # drop ulp-wide slivers from near-corner crossings
-    mids = a[None, :] + 0.5 * (ts[:-1] + ts[1:])[keep][:, None] * d[None, :]
-    lens = dt[keep] * length
-    return spec.cell_index(mids), lens
-
-
 def curve_cell_lengths(spec: GridSpec, gamma: Curve):
     """Length of gamma inside each grid cell it visits, as (flat indices, lengths).
 
-    This is the sparse constraint row of the discrete modulus problem.
+    This is the sparse constraint row of the discrete modulus problem.  Every
+    segment is cut at the grid planes it crosses, all segments in one array
+    pass (Amanatides-Woo traversal), and the pieces are summed per cell.
     """
-    if not np.all(spec.contains(gamma.vertices)):
-        raise ValueError("curve exits the grid bounds")
-    idx_parts, len_parts = [], []
     v = gamma.vertices
-    for i in range(len(v) - 1):
-        fi, li = _segment_cell_lengths(spec, v[i], v[i + 1])
-        idx_parts.append(fi)
-        len_parts.append(li)
-    flat = np.concatenate(idx_parts)
-    lens = np.concatenate(len_parts)
-    uniq, inv = np.unique(flat, return_inverse=True)
+    if not np.all(spec.contains(v)):
+        raise ValueError("curve exits the grid bounds")
+    a, d = v[:-1], np.diff(v, axis=0)
+    length = np.sqrt(row_dot(d, d))
+    lo, h = np.asarray(spec.lo), spec.spacing
+    segs = np.arange(len(d))
+    seg_parts, t_parts = [segs.repeat(2)], [np.tile([0.0, 1.0], len(d))]
+    for k in range(spec.dim):
+        c0 = (a[:, k] - lo[k]) / h[k]
+        c1 = (v[1:, k] - lo[k]) / h[k]
+        jlo = np.ceil(np.minimum(c0, c1))
+        hits = np.maximum(np.floor(np.maximum(c0, c1)) - jlo + 1.0, 0.0).astype(np.int64)
+        hits[d[:, k] == 0.0] = 0  # a segment parallel to the planes crosses none
+        seg = segs.repeat(hits)
+        j = jlo[seg] + (np.arange(len(seg)) - (np.cumsum(hits) - hits).repeat(hits))
+        t = (lo[k] + j * h[k] - a[seg, k]) / d[seg, k]
+        inside = (t > 0.0) & (t < 1.0)
+        seg_parts.append(seg[inside])
+        t_parts.append(t[inside])
+    seg, ts = np.concatenate(seg_parts), np.concatenate(t_parts)
+    order = np.lexsort((ts, seg))
+    seg, ts = seg[order], ts[order]
+    dt = ts[1:] - ts[:-1]
+    # drop repeated hits (corner crossings) and ulp-wide slivers from near-corner ones
+    keep = (seg[1:] == seg[:-1]) & (dt > 1e-13)
+    seg = seg[:-1][keep]
+    mids = a[seg] + (0.5 * (ts[:-1] + ts[1:]))[keep][:, None] * d[seg]
+    lens = dt[keep] * length[seg]
+    uniq, inv = np.unique(spec.cell_index(mids), return_inverse=True)
     acc = np.zeros(len(uniq))
     np.add.at(acc, inv, lens)
     return uniq, acc
@@ -252,57 +247,41 @@ def line_integral(rho: GridDensity, gamma: Curve) -> float:
 # Ring crossings
 # ---------------------------------------------------------------------------
 
-def _sphere_crossings(a: np.ndarray, b: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """Parameters s in [0, 1] where segment a + s(b-a) meets the sphere |x-c| = r.
-
-    Solves the quadratic exactly; a grazing tangency (double root) counts once.
-    """
-    d = b - a
-    f = a - center
-    qa = float(d @ d)
-    qb = 2.0 * float(f @ d)
-    qc = float(f @ f) - r * r
-    if qa == 0.0:
-        return np.empty(0)
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return np.empty(0)
-    sq = math.sqrt(disc)
-    roots = np.array([(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)])
-    if sq == 0.0:
-        roots = roots[:1]
-    return roots[(roots >= 0.0) & (roots <= 1.0)]
-
-
 def _crossing_events(gamma: Curve, ring: SphericalRing):
-    """All sphere crossings of the polyline as (global parameter, sphere tag, point).
+    """All sphere crossings of the polyline as (global parameter, sphere, point).
 
-    Vertices sitting on a sphere (within the membership tolerance) count as
-    crossings too; the quadratic can miss those grazing contacts in floating
-    point.
+    The sphere is 0 (inner) or 1 (outer).  The quadratic of every segment and
+    both radii is solved at once; a grazing tangency (double root) counts once.
+    Vertices on a sphere (within the membership tolerance) count too, since the
+    quadratic can miss those grazing contacts in floating point.
     """
-    from .geometry import DEFAULT_SPHERE_TOL
-
     c = ring.center_array()
-    events = []
+    r = np.array([ring.r_inner, ring.r_outer])
     v = gamma.vertices
     radii = np.linalg.norm(v - c, axis=1)
-    for tag, r in (("inner", ring.r_inner), ("outer", ring.r_outer)):
-        tol = DEFAULT_SPHERE_TOL * max(1.0, r)
-        for i in np.nonzero(np.abs(radii - r) <= tol)[0]:
-            events.append((float(i), tag, v[i]))
-    for i in range(len(v) - 1):
-        for tag, r in (("inner", ring.r_inner), ("outer", ring.r_outer)):
-            for s in _sphere_crossings(v[i], v[i + 1], c, r):
-                t = i + float(s)
-                events.append((t, tag, v[i] + s * (v[i + 1] - v[i])))
-    events.sort(key=lambda e: e[0])
+    on_sphere = np.abs(radii - r[:, None]) <= DEFAULT_SPHERE_TOL * np.maximum(1.0, r)[:, None]
+    vertex_tag, vertex = np.nonzero(on_sphere)
+    d = np.diff(v, axis=0)
+    f = v[:-1] - c
+    qa = row_dot(d, d)[:, None]
+    qb = 2.0 * row_dot(f, d)[:, None]
+    qc = row_dot(f, f)[:, None] - r * r
+    with np.errstate(divide="ignore", invalid="ignore"):  # no real root gives nan
+        sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+        roots = np.stack([(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)], axis=-1)
+    valid = (roots >= 0.0) & (roots <= 1.0)
+    valid[..., 1] &= sq != 0.0
+    seg, tag, _ = np.nonzero(valid)  # ordered by (segment, sphere, root)
+    s = roots[valid]
+    ts = np.concatenate([vertex.astype(float), seg + s])
+    tags = np.concatenate([vertex_tag, tag])
+    pts = np.concatenate([v[vertex], v[seg] + s[:, None] * d[seg]])
     # drop duplicate events at shared vertices (s=1 of one segment, s=0 of the next)
     dedup = []
-    for e in events:
-        if dedup and e[1] == dedup[-1][1] and abs(e[0] - dedup[-1][0]) < 1e-9:
+    for i in np.argsort(ts, kind="stable"):
+        if dedup and tags[i] == dedup[-1][1] and abs(ts[i] - dedup[-1][0]) < 1e-9:
             continue
-        dedup.append(e)
+        dedup.append((ts[i], tags[i], pts[i]))
     return dedup
 
 

@@ -99,6 +99,12 @@ def chordal_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2)) / (sa[:, None] * sb[None, :])
 
 
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of (..., n) arrays, each bit for bit ``u @ v``
+    (``einsum`` and ``norm(axis=)`` sum in another order)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class SphericalRing:
     """The open annular region between two concentric spheres, 0 < r_inner < r_outer."""

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, _directions
-from .geometry import ExtendedPoint, chordal_distance, chordal_matrix
+from .geometry import ExtendedPoint, chordal_distance, chordal_matrix, row_dot
 from .modulus import unit_sphere_area
 
 MAPPING_KINDS = ("identity", "winding", "radial_stretch", "inversion")
@@ -309,37 +309,82 @@ def weight_Q(f: MappingSpec) -> WeightQ:
 # Preimages and lifting
 # ---------------------------------------------------------------------------
 
-def _preimages_rel(f: MappingSpec, w: np.ndarray) -> list[np.ndarray]:
-    if f.kind == "identity":
-        return [w.copy()]
+def _preimages_rel(f: MappingSpec, w: np.ndarray) -> np.ndarray:
+    """Preimages of (L, n) points relative to the center, as (L, branches, n).
+
+    A point with w . w = 0 (the puncture's image) has none; callers mask its rows.
+    """
     if f.kind == "winding":
-        r = math.hypot(w[0], w[1])
-        psi = math.atan2(w[1], w[0])
-        out = []
-        for j in range(f.k):
-            th = (psi + 2.0 * math.pi * j) / f.k
-            z = w.copy()
-            z[0] = r * math.cos(th)
-            z[1] = r * math.sin(th)
-            out.append(z)
-        return out
-    if f.kind == "radial_stretch":
-        r = float(np.linalg.norm(w))
-        if r == 0.0:
-            return []
-        return [r ** (1.0 / f.alpha - 1.0) * w]
-    r2 = float(w @ w)  # inversion
-    if r2 == 0.0:
-        return []
-    return [w / r2]
+        th = (np.arctan2(w[:, 1], w[:, 0])[:, None] + 2.0 * math.pi * np.arange(f.k)) / f.k
+        r = np.hypot(w[:, 0], w[:, 1])[:, None]
+        z = np.repeat(w[:, None, :], f.k, axis=1)
+        z[..., 0] = r * np.cos(th)
+        z[..., 1] = r * np.sin(th)
+        return z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if f.kind == "radial_stretch":
+            scale = np.sqrt(row_dot(w, w)) ** (1.0 / f.alpha - 1.0)
+            return (scale[:, None] * w)[:, None, :]
+        if f.kind == "inversion":
+            return (w / row_dot(w, w)[:, None])[:, None, :]
+    return w[:, None, :].copy()  # identity
 
 
 def preimages(f: MappingSpec, y) -> list[np.ndarray]:
     """All preimages of an image point, unrestricted to the punctured ball."""
     w = np.asarray(y, dtype=float).ravel() - f.center_array()
-    if float(w @ w) == 0.0 and f.kind != "inversion":
+    if float(w @ w) == 0.0:
         return []
-    return [f.center_array() + z for z in _preimages_rel(f, w)]
+    return list(f.center_array() + _preimages_rel(f, w[None])[0])
+
+
+def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
+               starts: np.ndarray) -> list[tuple[Curve, str]]:
+    """Lift the image curves image[owner] from starts, all lifts one vertex at a time.
+
+    A lift continues along the nearest preimage branch and stops once it
+    leaves the closure of the punctured ball: at the puncture or its image
+    (HIT_PUNCTURE), or past the bounding sphere (HIT_OUTER_SPHERE).  The
+    lowest failing lift raises, naming its image curve and vertex.
+    """
+    c = f.center_array()
+    lifted = np.full((len(owner),) + image.shape[1:], np.nan)
+    lifted[:, 0] = starts
+    status = np.full(len(owner), COMPLETED, dtype=object)
+    failed = {}
+    active = np.arange(len(owner))
+    for i in range(1, image.shape[1]):
+        w = image[owner[active], i] - c
+        hit = row_dot(w, w) == 0.0  # the puncture's image has no preimage
+        cands = c + _preimages_rel(f, w)
+        diff = cands - lifted[active, i - 1][:, None, :]
+        dists = np.sqrt(row_dot(diff, diff))
+        near = np.argsort(dists, axis=1)[:, :2]  # the nearest branch and the runner-up
+        dist = np.take_along_axis(dists, near, axis=1)
+        z = np.take_along_axis(cands, near[..., None], axis=1)
+        best, gap, sep = z[:, 0], dist[:, -1] - dist[:, 0], z[:, -1] - z[:, 0]
+        ambiguous = ~hit & (gap <= AMBIGUITY_TOL) & (np.sqrt(row_dot(sep, sep)) > 1e-12)
+        for j, g in zip(active[ambiguous], gap[ambiguous]):
+            failed[j] = LiftingAmbiguity(f"image curve {owner[j]}: image vertex {i}: "
+                                         f"two branches within {g:.3g} of equidistant")
+        step = ~hit & ~ambiguous
+        lifted[active[step], i] = best[step]
+        rad = np.sqrt(row_dot(best - c, best - c))
+        puncture = hit | (step & (rad <= PUNCTURE_TOL * f.epsilon0))
+        outer = step & (rad > f.epsilon0 * (1.0 + 1e-12))
+        status[active[puncture]] = HIT_PUNCTURE
+        status[active[outer]] = HIT_OUTER_SPHERE
+        active = active[step & ~puncture & ~outer]
+    out = []
+    for j, pts in enumerate(lifted):
+        if j in failed:
+            raise failed[j]
+        pts = pts[~np.isnan(pts[:, 0])]
+        pts = pts[np.concatenate([[True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0.0])]
+        if len(pts) < 2:
+            raise DomainError(f"image curve {owner[j]}: lift collapsed to a single point")
+        out.append((Curve(pts), status[j]))
+    return out
 
 
 def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
@@ -353,42 +398,7 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
     first = image_curve.vertices[0]
     if np.linalg.norm(evaluate(f, start) - first) > START_TOL * max(1.0, float(np.linalg.norm(first))):
         raise ValueError("start point does not map to the first image vertex")
-    c = f.center_array()
-    eps0 = f.epsilon0
-    lifted = [start]
-    status = COMPLETED
-    for i in range(1, image_curve.n_vertices):
-        y = image_curve.vertices[i]
-        cands = [z for z in preimages(f, y)]
-        if not cands:
-            # image vertex is the puncture's image point
-            status = HIT_PUNCTURE
-            break
-        prev = lifted[-1]
-        dists = np.array([np.linalg.norm(z - prev) for z in cands])
-        order = np.argsort(dists)
-        best = cands[order[0]]
-        if len(cands) > 1:
-            second = cands[order[1]]
-            gap = dists[order[1]] - dists[order[0]]
-            if gap <= AMBIGUITY_TOL and np.linalg.norm(second - best) > 1e-12:
-                raise LiftingAmbiguity(
-                    f"image vertex {i}: two branches within {gap:.3g} of equidistant")
-        lifted.append(best)
-        rad = float(np.linalg.norm(best - c))
-        if rad <= PUNCTURE_TOL * eps0:
-            status = HIT_PUNCTURE
-            break
-        if rad > eps0 * (1.0 + 1e-12):
-            status = HIT_OUTER_SPHERE
-            break
-    pts = [lifted[0]]
-    for q in lifted[1:]:
-        if np.linalg.norm(q - pts[-1]) > 0.0:
-            pts.append(q)
-    if len(pts) < 2:
-        raise DomainError("lift collapsed to a single point")
-    return Curve(np.asarray(pts)), status
+    return _lift_many(f, image_curve.vertices[None], np.array([0]), start[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .curves import CurveFamily, resample
-from .geometry import SphericalRing
-from .mappings import (DomainError, MappingSpec, evaluate_many, image_ball,
-                       image_mask, lift_curve, multiplicity, preimages,
+from .geometry import SphericalRing, row_dot
+from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
+                       evaluate_many, image_ball, image_mask, multiplicity,
                        sup_distortion, weight_Q, with_domain)
 from .modulus import (EtaFunction, ModulusResult, admissible_check,
                       discrete_modulus, power_eta, reciprocal_eta, ring_grid,
@@ -47,24 +47,21 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     y0 = np.asarray(y0, dtype=float).ravel()
     ring = SphericalRing(tuple(y0), r1, r2)
     image_family = generate_ring_family(ring, count)
+    image = np.stack([resample(curve, LIFT_VERTEX_BUDGET).vertices
+                      for curve in image_family])
     c = f.center_array()
-    lifted = []
-    for i, image_curve in enumerate(image_family):
-        curve = resample(image_curve, LIFT_VERTEX_BUDGET)
-        starts = []
-        for z in preimages(f, curve.vertices[0]):
-            rad = float(np.linalg.norm(z - c))
-            if 0.0 < rad <= f.epsilon0 * (1.0 + 1e-9):
-                starts.append(z)
-        if not starts:
-            raise DomainError(f"image curve {i}: initial point has no preimage "
-                             f"inside the punctured ball")
-        for start in starts:
-            try:
-                lift, status = lift_curve(f, curve, start)
-            except Exception as exc:
-                raise type(exc)(f"image curve {i}: {exc}") from exc
-            lifted.append(lift)
+    w = image[:, 0] - c
+    starts = c + _preimages_rel(f, w)
+    rad = np.sqrt(row_dot(starts - c, starts - c))
+    inside = (0.0 < rad) & (rad <= f.epsilon0 * (1.0 + 1e-9))  # w = 0 gives rad 0 or nan
+    # lifts of the image curves before the first one without a start fail first
+    missing = np.flatnonzero(~inside.any(axis=1))
+    stop = missing[0] if missing.size else len(image)
+    owner, branch = np.nonzero(inside[:stop])
+    lifted = [lift for lift, _ in _lift_many(f, image, owner, starts[owner, branch])]
+    if missing.size:
+        raise DomainError(f"image curve {stop}: initial point has no preimage "
+                          f"inside the punctured ball")
     label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
              f"through {f.describe()} ({len(lifted)} curves)")
     return CurveFamily(lifted, label)

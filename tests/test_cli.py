@@ -141,6 +141,17 @@ k = 3
             {row.attr: row.default for row in cli.CONFIG}
         cfg.validate()
 
+    def test_print_defaults_edited_to_3d(self, tmp_path, capsys):
+        assert cli.main(["print-defaults"]) == 0
+        text = capsys.readouterr().out
+        for key, value in (("dim", "3"), ("center", "0, 0, 0"), ("y0", "0, 0, 0")):
+            lines = [line for line in text.splitlines() if line.startswith(f"{key} =")]
+            assert len(lines) == 1
+            text = text.replace(lines[0], f"{key} = {value}")
+        cfg = cli.load_config(write_config(tmp_path / "d.ini", text))
+        assert cfg.resolution == cli.RESOLUTION_3D == 24
+        cfg.validate()
+
     def test_absent_point_is_origin_in_dim(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path / "c.ini", """
 [scenario]
@@ -346,7 +357,8 @@ out_dir = {out}
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "solver_failure"
-        assert report["message"].startswith("image curve")
+        assert report["message"].startswith(
+            "image curve 16: image vertex 20: two branches within")
         assert report["best_value"] is None
 
     def test_domain_error_is_solver_failure(self, tmp_path, monkeypatch):

@@ -22,17 +22,48 @@ def brute_force_crossing(curve: Curve, ring: SphericalRing, n_scan=200_000):
     loc = ts - i
     pts = curve.vertices[i] + loc[:, None] * (curve.vertices[i + 1] - curve.vertices[i])
     r = np.linalg.norm(pts - c, axis=1)
+    dr = r[:, None] - np.array([ring.r_inner, ring.r_outer])
+    # sign changes between scan points j-1 and j, in (j, inner before outer) order
+    changes = (dr[:-1] * dr[1:] <= 0.0) & (r[:-1] != r[1:])[:, None]
     band = None  # (start index, sphere first touched)
-    for j in range(1, n_scan):
-        for rad, tag in ((ring.r_inner, "inner"), (ring.r_outer, "outer")):
-            if (r[j - 1] - rad) * (r[j] - rad) <= 0.0 and r[j - 1] != r[j]:
-                if band is None:
-                    band = (j, tag)
-                elif band[1] != tag:
-                    return ts[band[0]], ts[j]
-                else:
-                    band = (j, tag)
+    for j, tag in zip(*np.nonzero(changes)):
+        j += 1
+        if band is None:
+            band = (j, tag)
+        elif band[1] != tag:
+            return ts[band[0]], ts[j]
+        else:
+            band = (j, tag)
     return None
+
+
+def reference_cell_lengths(spec: GridSpec, gamma: Curve):
+    """Oracle: the per-segment row arithmetic, one segment at a time."""
+    lo, h = np.asarray(spec.lo), spec.spacing
+    idx_parts, len_parts = [], []
+    for a, b in zip(gamma.vertices[:-1], gamma.vertices[1:]):
+        d = b - a
+        length = math.sqrt(float(d @ d))
+        pieces = [np.array([0.0, 1.0])]
+        for k in range(spec.dim):
+            if d[k] == 0.0:
+                continue
+            c0 = (a[k] - lo[k]) / h[k]
+            c1 = (b[k] - lo[k]) / h[k]
+            jlo, jhi = math.ceil(min(c0, c1)), math.floor(max(c0, c1))
+            if jhi >= jlo:
+                t = (lo[k] + np.arange(jlo, jhi + 1) * h[k] - a[k]) / d[k]
+                pieces.append(t[(t > 0.0) & (t < 1.0)])
+        ts = np.unique(np.concatenate(pieces))
+        dt = ts[1:] - ts[:-1]
+        keep = dt > 1e-13
+        mids = a[None, :] + 0.5 * (ts[:-1] + ts[1:])[keep][:, None] * d[None, :]
+        idx_parts.append(spec.cell_index(mids))
+        len_parts.append(dt[keep] * length)
+    uniq, inv = np.unique(np.concatenate(idx_parts), return_inverse=True)
+    acc = np.zeros(len(uniq))
+    np.add.at(acc, inv, np.concatenate(len_parts))
+    return uniq, acc
 
 
 class TestCurveBasics:
@@ -116,6 +147,54 @@ class TestLineIntegral:
         spec = GridSpec((0.0, 0.0), (1.0, 1.0), (13, 7))
         curve = Curve([[0.05, 0.05], [0.93, 0.81], [0.11, 0.92]])
         _, lens = curve_cell_lengths(spec, curve)
+        assert lens.sum() == pytest.approx(curve.length(), abs=1e-12)
+
+
+class TestCellLengthsAgainstReference:
+    """The array row kernel gives the per-segment rows bit for bit."""
+
+    @staticmethod
+    def _polyline(rng, spec, n_vertices):
+        # vertices drawn from the grid planes, the corners, or anywhere,
+        # and repeated coordinates for axis-parallel segments
+        lo, hi, h = np.asarray(spec.lo), np.asarray(spec.hi), spec.spacing
+        shape = np.asarray(spec.shape)
+        while True:
+            v = rng.uniform(lo, hi, (n_vertices, spec.dim))
+            on_plane = rng.random(v.shape) < 0.3
+            planes = lo + rng.integers(0, shape + 1, v.shape) * h
+            v = np.where(on_plane, planes, v)
+            corner = rng.random(n_vertices) < 0.15
+            v[corner] = lo + rng.integers(0, shape + 1, (corner.sum(), spec.dim)) * h
+            for i in range(1, n_vertices):
+                same = rng.random(spec.dim) < 0.25
+                v[i, same] = v[i - 1, same]
+            v = np.clip(v, lo, hi)
+            if np.all(np.linalg.norm(np.diff(v, axis=0), axis=1) > 0.0):
+                return Curve(v)
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec((0.0, 0.0), (1.0, 1.0), (16, 16)),
+        GridSpec((-0.3, 0.2), (0.7, 1.9), (13, 7)),
+        GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 8)),
+        GridSpec((-1.0, -0.5, 0.25), (1.0, 0.5, 1.0), (11, 6, 5)),
+    ])
+    def test_random_polylines(self, spec):
+        rng = np.random.default_rng(spec.n_cells)
+        for n_vertices in [2] * 40 + list(range(3, 33)):
+            curve = self._polyline(rng, spec, n_vertices)
+            idx, lens = curve_cell_lengths(spec, curve)
+            ref_idx, ref_lens = reference_cell_lengths(spec, curve)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(lens, ref_lens)
+
+    def test_diagonal_through_corners(self):
+        spec = GridSpec((0.0, 0.0), (1.0, 1.0), (10, 10))
+        curve = Curve([[0.0, 0.0], [1.0, 1.0], [0.0, 0.5]])
+        idx, lens = curve_cell_lengths(spec, curve)
+        ref_idx, ref_lens = reference_cell_lengths(spec, curve)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(lens, ref_lens)
         assert lens.sum() == pytest.approx(curve.length(), abs=1e-12)
 
 

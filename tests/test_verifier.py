@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from modlab.mappings import identity, inversion, radial_stretch, winding
+from modlab.curves import generate_ring_family, resample
+from modlab.geometry import SphericalRing
+from modlab.mappings import (COMPLETED, HIT_OUTER_SPHERE, identity, inversion,
+                             lift_curve, preimages, radial_stretch, winding)
 from modlab.modulus import reciprocal_eta, uniform_eta
-from modlab.verifier import (lifted_ring_family, continuity_bound, weight_bound_check,
-                             verify_poletski)
+from modlab.verifier import (LIFT_VERTEX_BUDGET, lifted_ring_family, continuity_bound,
+                             weight_bound_check, verify_poletski)
 
 
 class TestBuildGammaF:
@@ -45,6 +48,26 @@ class TestBuildGammaF:
             r = np.linalg.norm(curve.vertices, axis=1)
             assert r.min() == pytest.approx(0.25, abs=1e-9)
             assert r.max() == pytest.approx(0.4, abs=1e-9)
+
+    def test_batched_lifts_equal_single_lifts(self):
+        # the off-center stretch ring: some lifts complete, the others leave
+        # the punctured ball at different vertices
+        f = radial_stretch(2.0)
+        fam = lifted_ring_family(f, (0.1, 0.0), 0.05, 0.2, 32)
+        image = generate_ring_family(SphericalRing((0.1, 0.0), 0.05, 0.2), 32)
+        assert len(fam) == len(image) == 32
+        statuses = []
+        for lift, image_curve in zip(fam, image):
+            image_curve = resample(image_curve, LIFT_VERTEX_BUDGET)
+            start, = preimages(f, image_curve.vertices[0])
+            single, status = lift_curve(f, image_curve, start)
+            assert np.array_equal(lift.vertices, single.vertices)
+            assert (lift.n_vertices == LIFT_VERTEX_BUDGET) == (status == COMPLETED)
+            statuses.append(status)
+        assert statuses.count(COMPLETED) == 19
+        assert statuses.count(HIT_OUTER_SPHERE) == 13
+        exits = [c.n_vertices for c in fam if c.n_vertices < LIFT_VERTEX_BUDGET]
+        assert min(exits) == 23 and max(exits) == 32
 
 
 class TestVerifyPoletski:
