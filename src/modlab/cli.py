@@ -44,6 +44,8 @@ SCENARIOS = ("ring_modulus", "discrete_modulus", "poletski", "weight_bound",
 GRID_GUARD = {2: 2048, 3: 96}
 # solver.resolution when absent from a 3-D config: the 3-D Poletski check's grid
 RESOLUTION_3D = 24
+# density.csv rows formatted per write, so memory stays bounded on 96^3 grids
+DENSITY_BLOCK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -337,9 +339,13 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
         flat = density.density.flat()
         nz = np.flatnonzero(flat)
         rows = np.column_stack([nz, spec.cell_center(nz), flat[nz]])
-        header = ",".join(["cell_index", *(f"x{a}" for a in range(spec.dim)), "rho"])
-        np.savetxt(out / "density.csv", rows, fmt=["%d"] + ["%.9g"] * (spec.dim + 1),
-                   delimiter=",", header=header, comments="", newline="\r\n")
+        row = ",".join(["%d"] + ["%.9g"] * (spec.dim + 1)) + "\r\n"
+        with open(out / "density.csv", "w", newline="") as fh:
+            fh.write(",".join(["cell_index", *(f"x{a}" for a in range(spec.dim)), "rho"])
+                     + "\r\n")
+            for i in range(0, len(rows), DENSITY_BLOCK_ROWS):
+                block = rows[i:i + DENSITY_BLOCK_ROWS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _sweep_steps(cfg: ExperimentConfig) -> list:

@@ -65,21 +65,6 @@ class Curve:
         return f"Curve({self.n_vertices} vertices, dim={self.dim}, length={self.length():.4g})"
 
 
-def resample(curve: Curve, n_vertices: int) -> Curve:
-    """Resample a curve at n_vertices arclength-uniform parameter values."""
-    if n_vertices < 2:
-        raise ValueError("need at least two vertices")
-    seg = curve.segment_lengths()
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    s = np.linspace(0.0, cum[-1], n_vertices)
-    out = np.empty((n_vertices, curve.dim))
-    j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[j]) / seg[j]
-    out = curve.vertices[j] + t[:, None] * (curve.vertices[j + 1] - curve.vertices[j])
-    keep = np.concatenate([[True], np.linalg.norm(np.diff(out, axis=0), axis=1) > 0.0])
-    return Curve(out[keep])
-
-
 @dataclass
 class CurveFamily:
     """A finite family of curves standing in for a continuum family."""

@@ -375,16 +375,17 @@ def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
         status[active[puncture]] = HIT_PUNCTURE
         status[active[outer]] = HIT_OUTER_SPHERE
         active = active[step & ~puncture & ~outer]
-    out = []
-    for j, pts in enumerate(lifted):
-        if j in failed:
-            raise failed[j]
-        pts = pts[~np.isnan(pts[:, 0])]
-        pts = pts[np.concatenate([[True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0.0])]
-        if len(pts) < 2:
-            raise DomainError(f"image curve {owner[j]}: lift collapsed to a single point")
-        out.append((Curve(pts), status[j]))
-    return out
+    # a lift's vertices are a prefix of its row; drop the rest and repeated vertices
+    keep = np.concatenate([np.ones((len(owner), 1), bool),
+                           np.linalg.norm(np.diff(lifted, axis=1), axis=2) > 0.0], axis=1)
+    sizes = keep.sum(axis=1)
+    bad = failed.keys() | set(np.flatnonzero(sizes < 2).tolist())
+    if bad:
+        j = min(bad)
+        raise failed[j] if j in failed else DomainError(
+            f"image curve {owner[j]}: lift collapsed to a single point")
+    pieces = np.split(lifted[keep], np.cumsum(sizes)[:-1])
+    return [(Curve(pts), s) for pts, s in zip(pieces, status)]
 
 
 def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:

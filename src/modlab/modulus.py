@@ -344,22 +344,24 @@ SHARE_SCAN = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(RADIAL_NODES)
 
 
-def weighted_rhs_integral(Q: float, eta: EtaFunction, ring: SphericalRing,
+def weighted_rhs_integral(Q: float, etas: Sequence[EtaFunction], ring: SphericalRing,
                           domain_mask: Callable[[np.ndarray], np.ndarray] | None = None,
-                          n: int | None = None) -> float:
-    """Integral of the constant Q times eta(|y - y0|)^n over the ring cut to a mask.
+                          n: int | None = None) -> list[float]:
+    """Integrals of the constant Q times eta(|y - y0|)^n over the ring cut to a mask.
 
-    In polar coordinates about y0 this is Q |S^(dim-1)| times the integral of
+    In polar coordinates about y0 each is Q |S^(dim-1)| times the integral of
     eta(r)^n r^(dim-1) phi(r) over (r_inner, r_outer), where phi(r) is the mean
     of the mask (a callable on (m, dim) point arrays; 1 without one) over
     equidistributed directions on the sphere S(y0, r).  Gauss-Legendre in log r
-    runs on each piece between eta's breakpoints and support ends and the radii
-    where phi leaves or reaches 0 or 1.
+    runs on each piece between the radii where phi leaves or reaches 0 or 1 and
+    every eta's breakpoints and support ends.  phi does not depend on eta, so
+    the mask is sampled once for all of them; returns one value per eta.
     """
     n = ring.dim if n is None else n
-    ok, integ = admissible_check(eta, eta.r1, eta.r2)
-    if not ok:
-        raise ValueError(f"eta is not admissible (integral {integ:.6g} < 1)")
+    for eta in etas:
+        ok, integ = admissible_check(eta, eta.r1, eta.r2)
+        if not ok:
+            raise ValueError(f"eta is not admissible (integral {integ:.6g} < 1)")
     lo, hi = ring.r_inner, ring.r_outer
     if domain_mask is None:
         share = np.ones_like
@@ -377,24 +379,28 @@ def weighted_rhs_integral(Q: float, eta: EtaFunction, ring: SphericalRing,
         return (phi > 0.0).astype(int) + (phi == 1.0)
 
     # the scan brackets each change of level (empty, partial, full) of the
-    # share, and bisection narrows the bracket to adjacent floats
+    # share, and bisection narrows all brackets at once to adjacent floats
     scan = np.linspace(lo, hi, SHARE_SCAN + 1)
     levels = level(scan)
-    cuts = []
-    for i in np.flatnonzero(np.diff(levels)):
-        a, b = scan[i], scan[i + 1]
-        while a < 0.5 * (a + b) < b:
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if level(np.array([mid]))[0] == levels[i] else (a, mid)
-        cuts.append(b)
-    edges = np.log(np.unique(np.clip([lo, hi, eta.r1, eta.r2, *eta.breaks, *cuts],
-                                     lo, hi)))
+    change = np.flatnonzero(np.diff(levels))
+    a, b = scan[change], scan[change + 1]
+    while True:
+        mid = 0.5 * (a + b)
+        narrow = np.flatnonzero((a < mid) & (mid < b))
+        if not narrow.size:
+            break
+        same = level(mid[narrow]) == levels[change[narrow]]
+        a[narrow[same]] = mid[narrow[same]]
+        b[narrow[~same]] = mid[narrow[~same]]
+    ends = [x for eta in etas for x in (eta.r1, eta.r2, *eta.breaks)]
+    edges = np.log(np.unique(np.clip([lo, hi, *ends, *b], lo, hi)))
     # Gauss-Legendre in t = log r, where dr = r dt
     half = 0.5 * np.diff(edges)[:, None]
     r = np.exp(edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
     weights = (half * _GL_WEIGHTS).ravel()
-    radial = float(np.sum(weights * eta(r) ** n * r ** ring.dim * share(r)))
-    return float(Q) * unit_sphere_area(ring.dim) * radial
+    rd, phi = r ** ring.dim, share(r)
+    scale = float(Q) * unit_sphere_area(ring.dim)
+    return [scale * float(np.sum(weights * eta(r) ** n * rd * phi)) for eta in etas]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import CurveFamily, resample
+from .curves import CurveFamily
 from .geometry import SphericalRing, row_dot
 from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
                        evaluate_many, image_ball, image_mask, multiplicity,
@@ -37,18 +37,20 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
                        count: int) -> CurveFamily:
     """Domain curves whose images join the spheres of the image ring A(y0, r1, r2).
 
-    The radial image ring family is generated, each member is resampled to
-    LIFT_VERTEX_BUDGET vertices for stable branch tracking and lifted from every
-    preimage of its initial point, and the lifted curves form the returned
-    family (k branches per image curve for a k-fold winding).
+    The radial image ring family is generated, every segment is sampled at
+    LIFT_VERTEX_BUDGET arclength-uniform points for stable branch tracking, and
+    each is lifted from every preimage of its initial point; the lifted curves
+    form the returned family (k branches per image curve for a k-fold winding).
     """
     from .curves import generate_ring_family
 
     y0 = np.asarray(y0, dtype=float).ravel()
     ring = SphericalRing(tuple(y0), r1, r2)
-    image_family = generate_ring_family(ring, count)
-    image = np.stack([resample(curve, LIFT_VERTEX_BUDGET).vertices
-                      for curve in image_family])
+    ends = np.stack([curve.vertices for curve in generate_ring_family(ring, count)])
+    d = ends[:, 1] - ends[:, 0]
+    length = np.linalg.norm(d, axis=1)
+    t = np.linspace(0.0, length, LIFT_VERTEX_BUDGET, axis=1) / length[:, None]
+    image = ends[:, :1] + t[..., None] * d[:, None]
     c = f.center_array()
     w = image[:, 0] - c
     starts = c + _preimages_rel(f, w)
@@ -70,8 +72,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
 def _lifted_family_grid(f: MappingSpec, family: CurveFamily, resolution: int):
     """Matched grid around the lifted family, centered on the puncture."""
     c = f.center_array()
-    radii = np.concatenate(
-        [np.linalg.norm(curve.vertices - c, axis=1) for curve in family])
+    radii = np.linalg.norm(np.concatenate([curve.vertices for curve in family]) - c, axis=1)
     rmin, rmax = float(radii.min()), float(radii.max())
     if rmin <= 0 or rmin >= rmax:
         raise ValueError("degenerate lifted family geometry")
@@ -143,8 +144,8 @@ def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
     q = multiplicity(f) * sup_distortion(f)
     ring = SphericalRing(tuple(np.asarray(y0, dtype=float).ravel()), r1, r2)
     mask = image_mask(f)
-    rhs = [(eta, q * weighted_rhs_integral(1.0, eta, ring, mask, n=f.dim))
-           for eta in etas]
+    rhs = [(eta, q * v)
+           for eta, v in zip(etas, weighted_rhs_integral(1.0, etas, ring, mask, n=f.dim))]
     min_rhs = min(v for _, v in rhs)
     satisfied = lhs.value <= min_rhs * (1.0 + rel_tol)
     return PoletskiReport(f.describe(), tuple(np.asarray(y0, dtype=float).ravel()),

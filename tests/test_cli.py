@@ -268,33 +268,39 @@ out_dir = {out}
 
     def test_density_csv_bytes(self, tmp_path):
         """density.csv equals per-row csv.writer formatting of the run's density."""
-        out = tmp_path / "out"
-        path = write_config(tmp_path / "c.ini", f"""
+        # a 2-D run, and a 3-D run with more nonzero cells than one write block
+        runs = [(2, 48, 48, 0.003, 100), (3, 24, 2048, 0.05, cli.DENSITY_BLOCK_ROWS)]
+        for dim, resolution, count, tol, least in runs:
+            out = tmp_path / f"out{dim}"
+            path = write_config(tmp_path / f"c{dim}.ini", f"""
 [scenario]
 kind = ring_modulus
+[mapping]
+kind = identity
+dim = {dim}
 [geometry]
 r1 = 1.0
 r2 = 2.0
 [solver]
-resolution = 48
-curve_count = 48
+resolution = {resolution}
+curve_count = {count}
+tol = {tol}
 [output]
 out_dir = {out}
 """)
-        assert cli.run(path) == 0
-        density = cli.run_scenario(cli.load_config(path))["_density"].density
-        flat = density.flat()
-        nz = np.nonzero(flat)[0]
-        centers = density.spec.cell_center(nz)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["cell_index"] + [f"x{a}" for a in range(density.spec.dim)]
-                        + ["rho"])
-        for i, idx in enumerate(nz):
-            writer.writerow([int(idx)] + [f"{c:.9g}" for c in centers[i]]
-                            + [f"{flat[idx]:.9g}"])
-        assert len(nz) > 100
-        assert (out / "density.csv").read_bytes() == expected.getvalue().encode()
+            assert cli.run(path) == 0
+            density = cli.run_scenario(cli.load_config(path))["_density"].density
+            flat = density.flat()
+            nz = np.nonzero(flat)[0]
+            centers = density.spec.cell_center(nz)
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["cell_index"] + [f"x{a}" for a in range(dim)] + ["rho"])
+            for i, idx in enumerate(nz):
+                writer.writerow([int(idx)] + [f"{c:.9g}" for c in centers[i]]
+                                + [f"{flat[idx]:.9g}"])
+            assert len(nz) > least
+            assert (out / "density.csv").read_bytes() == expected.getvalue().encode()
 
     def test_cluster_set_scenario(self, tmp_path):
         out = tmp_path / "out"

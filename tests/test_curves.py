@@ -8,7 +8,7 @@ import pytest
 from modlab.curves import (Curve, CurveFamily, GridDensity, GridSpec,
                            NoCrossing, crossing_subcurve,
                            curve_cell_lengths, generate_ring_family,
-                           line_integral, load_family, minorizes, resample,
+                           line_integral, load_family, minorizes,
                            save_family)
 from modlab.geometry import SphericalRing
 
@@ -75,14 +75,9 @@ class TestCurveBasics:
         with pytest.raises(ValueError):
             Curve([[0.0, 0.0], [math.inf, 0.0]])
 
-    def test_length_and_resample(self):
+    def test_length(self):
         c = Curve([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
         assert c.length() == pytest.approx(7.0)
-        r = resample(c, 29)
-        assert r.n_vertices == 29
-        assert np.allclose(r.start(), c.start())
-        assert np.allclose(r.end(), c.end())
-        assert r.length() == pytest.approx(7.0, abs=1e-12)
 
     def test_family_dimension_check(self):
         with pytest.raises(ValueError):

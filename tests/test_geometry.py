@@ -93,10 +93,19 @@ class TestChordalSetDistance:
         th = np.linspace(0, 2 * math.pi, 360, endpoint=False)
         inner = np.stack([np.cos(th), np.sin(th)], axis=1)
         outer = 3.0 * inner
-        # brute-force oracle over all sampled pairs
-        best = min(chordal_distance(a, b) for a in inner for b in outer)
-        assert best == pytest.approx(0.4472135954999579, abs=1e-12)
-        assert chordal_matrix(inner, outer).min() == pytest.approx(best, abs=1e-15)
+        matrix = chordal_matrix(inner, outer)
+        # scalar oracle on the same-angle pairs, where the minimum lies, and on
+        # a strided sample of the other pairs
+        pairs = [(i, i) for i in range(360)]
+        pairs += [(i, j) for i in range(0, 360, 7) for j in range(3, 360, 11) if i != j]
+        oracle = np.array([chordal_distance(inner[i], outer[j]) for i, j in pairs])
+        rows, cols = np.array(pairs).T
+        assert matrix[rows, cols] == pytest.approx(oracle, abs=1e-15)
+        # |x - y| / sqrt((1 + 1)(1 + 9)) with |x - y| = 2 on one ray
+        best = oracle[:360].min()
+        assert best == pytest.approx(2.0 / math.sqrt(20.0), abs=1e-12)
+        assert oracle.min() == best
+        assert matrix.min() == pytest.approx(best, abs=1e-15)
 
 
 class TestTypes:

@@ -14,6 +14,7 @@ from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
                             power_eta, reciprocal_eta,
                             ring_grid, ring_modulus_analytic, uniform_eta,
                             unit_sphere_area, weighted_rhs_integral)
+from modlab.verifier import default_etas
 
 
 class TestAnalyticFormulas:
@@ -97,7 +98,7 @@ class TestWeightedRhsIntegral:
     RING = SphericalRing((0.0, 0.0), 1.0, 2.0)
 
     def test_uniform_eta_gives_annulus_area(self):
-        value = weighted_rhs_integral(1.0, uniform_eta(1.0, 2.0), self.RING, n=2)
+        value, = weighted_rhs_integral(1.0, [uniform_eta(1.0, 2.0)], self.RING, n=2)
         assert value == pytest.approx(3 * math.pi, rel=1e-12)
 
     @staticmethod
@@ -105,8 +106,8 @@ class TestWeightedRhsIntegral:
         # uniform eta is 1/(r2 - r1), so the right-hand side is volume / (r2 - r1)^n;
         # a mask that admits every point must leave the volume whole
         r1, r2 = ring.r_inner, ring.r_outer
-        value = weighted_rhs_integral(1.0, uniform_eta(r1, r2), ring,
-                                      domain_mask=lambda p: np.ones(len(p), bool))
+        value, = weighted_rhs_integral(1.0, [uniform_eta(r1, r2)], ring,
+                                       domain_mask=lambda p: np.ones(len(p), bool))
         return value * (r2 - r1) ** ring.dim
 
     def test_masked_volume(self):
@@ -120,8 +121,8 @@ class TestWeightedRhsIntegral:
 
     def test_linear_in_q(self):
         eta = uniform_eta(1.0, 2.0)
-        base = weighted_rhs_integral(1.0, eta, self.RING, n=2)
-        scaled = weighted_rhs_integral(7.5, eta, self.RING, n=2)
+        base, = weighted_rhs_integral(1.0, [eta], self.RING, n=2)
+        scaled, = weighted_rhs_integral(7.5, [eta], self.RING, n=2)
         assert scaled == pytest.approx(7.5 * base, rel=1e-12)
 
     @pytest.mark.parametrize("dim, r1, r2", [(2, 1.0, math.e), (3, 0.1, 0.4)],
@@ -129,13 +130,13 @@ class TestWeightedRhsIntegral:
     def test_reciprocal_eta_ring(self, dim, r1, r2):
         # the extremal eta turns the right-hand side into the ring modulus
         ring = SphericalRing((0.0,) * dim, r1, r2)
-        value = weighted_rhs_integral(1.0, reciprocal_eta(r1, r2), ring)
+        value, = weighted_rhs_integral(1.0, [reciprocal_eta(r1, r2)], ring)
         assert value == pytest.approx(ring_modulus_analytic(dim, r1, r2), rel=1e-12)
 
     def test_mask_restricts_domain(self):
         eta = uniform_eta(1.0, 2.0)
-        half = weighted_rhs_integral(1.0, eta, self.RING,
-                                     domain_mask=lambda p: p[:, 0] > 0.0, n=2)
+        half, = weighted_rhs_integral(1.0, [eta], self.RING,
+                                      domain_mask=lambda p: p[:, 0] > 0.0, n=2)
         assert half == pytest.approx(1.5 * math.pi, rel=1e-2)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -151,7 +152,7 @@ class TestWeightedRhsIntegral:
         else:
             eta = reciprocal_eta(0.1, 0.4)
             radial = math.log(2.5) / math.log(4.0) ** dim
-        value = weighted_rhs_integral(1.0, eta, ring, mask)
+        value, = weighted_rhs_integral(1.0, [eta], ring, mask)
         assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -174,13 +175,56 @@ class TestWeightedRhsIntegral:
             kinks = [k for k in (abs(R - offset), R + offset) if r1 < k < r2]
             radial, _ = quad(integrand, r1, r2, points=kinks or None,
                              epsabs=0.0, epsrel=1e-12, limit=200)
-            value = weighted_rhs_integral(1.0, eta, ring, image_mask(f))
+            value, = weighted_rhs_integral(1.0, [eta], ring, image_mask(f))
             assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=1e-3)
+
+    # the ring (0.05, 0.45) about (0.2, 0, ...) straddles the image ball of
+    # radius 0.5: the share of its spheres is 1 below r = 0.3 and partial above
+    STRADDLE_R1, STRADDLE_R2 = 0.05, 0.45
+
+    def straddling(self, dim):
+        ring = SphericalRing((0.2,) + (0.0,) * (dim - 1), self.STRADDLE_R1, self.STRADDLE_R2)
+        return ring, image_mask(winding(3, dim, epsilon0=0.5))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_etas_in_one_call(self, dim):
+        ring, mask = self.straddling(dim)
+        etas = default_etas(self.STRADDLE_R1, self.STRADDLE_R2)
+        alone = [weighted_rhs_integral(1.0, [eta], ring, mask)[0] for eta in etas]
+        assert weighted_rhs_integral(1.0, etas, ring, mask) == alone
+
+    def test_piecewise_breakpoint_shared(self):
+        ring, mask = self.straddling(2)
+        r1, r2, b = self.STRADDLE_R1, self.STRADDLE_R2, 0.37  # b: a partial share
+        step = EtaFunction("piecewise", r1, r2, breaks=(r1, b, r2),
+                           levels=(0.5 / (b - r1), 0.5 / (r2 - b)))
+        etas = [step, *default_etas(r1, r2)]
+        together = weighted_rhs_integral(1.0, etas, ring, mask)
+        for eta, value in zip(etas, together):
+            alone, = weighted_rhs_integral(1.0, [eta], ring, mask)
+            # the step eta keeps its pieces; the others are also cut at b, which
+            # moves them within the rule's accuracy on a partial share
+            rel = 1e-14 if eta is step else 1e-3
+            assert value == pytest.approx(alone, rel=rel)
+
+    def test_mask_sampled_once_for_all_etas(self):
+        ring, inner = self.straddling(2)
+        calls = []
+
+        def mask(pts):
+            calls.append(len(pts))
+            return inner(pts)
+
+        etas = default_etas(self.STRADDLE_R1, self.STRADDLE_R2)
+        weighted_rhs_integral(1.0, etas[:1], ring, mask)
+        one, calls[:] = list(calls), []
+        weighted_rhs_integral(1.0, etas, ring, mask)
+        assert calls == one
 
     def test_inadmissible_eta_rejected(self):
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
         with pytest.raises(ValueError):
-            weighted_rhs_integral(1.0, bad, self.RING, n=2)
+            weighted_rhs_integral(1.0, [bad], self.RING, n=2)
 
 
 def unit_square_family(count):

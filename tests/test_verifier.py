@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modlab.curves import generate_ring_family, resample
+from modlab.curves import Curve, generate_ring_family
 from modlab.geometry import SphericalRing
 from modlab.mappings import (COMPLETED, HIT_OUTER_SPHERE, identity, inversion,
                              lift_curve, preimages, radial_stretch, winding)
@@ -58,7 +58,12 @@ class TestBuildGammaF:
         assert len(fam) == len(image) == 32
         statuses = []
         for lift, image_curve in zip(fam, image):
-            image_curve = resample(image_curve, LIFT_VERTEX_BUDGET)
+            # arclength-uniform samples of the segment, as a polyline resampler
+            # computes them: a + (s / L) (b - a) for s = linspace(0, L, n)
+            a, b = image_curve.vertices
+            length = image_curve.length()
+            s = np.linspace(0.0, length, LIFT_VERTEX_BUDGET)
+            image_curve = Curve(a + (s / length)[:, None] * (b - a))
             start, = preimages(f, image_curve.vertices[0])
             single, status = lift_curve(f, image_curve, start)
             assert np.array_equal(lift.vertices, single.vertices)
