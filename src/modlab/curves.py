@@ -58,9 +58,6 @@ class Curve:
     def start(self) -> np.ndarray:
         return self.vertices[0]
 
-    def end(self) -> np.ndarray:
-        return self.vertices[-1]
-
     def __repr__(self):
         return f"Curve({self.n_vertices} vertices, dim={self.dim}, length={self.length():.4g})"
 
@@ -88,9 +85,6 @@ class CurveFamily:
 
     def __iter__(self) -> Iterator[Curve]:
         return iter(self.curves)
-
-    def __getitem__(self, i) -> Curve:
-        return self.curves[i]
 
 
 # ---------------------------------------------------------------------------

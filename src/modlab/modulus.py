@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .curves import (Curve, CurveFamily, GridDensity, GridSpec, _directions,
-                     curve_cell_lengths)
+from .curves import Curve, CurveFamily, GridDensity, GridSpec, curve_cell_lengths
 from .geometry import SphericalRing
 
 DEFAULT_BUDGET = 100_000
@@ -334,72 +333,59 @@ def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
 # Weighted right-hand-side quadrature
 # ---------------------------------------------------------------------------
 
-# Radial rule: Gauss-Legendre nodes per piece, directions sampling the mask's
-# share of each sphere, and scan steps for the radii where the share leaves or
-# reaches 0 or 1 (a kink inside a piece costs ~1% on off-centre rings).
+# Radial rule: Gauss-Legendre nodes per piece between the radii where the
+# integrand has a kink.
 RADIAL_NODES = 64
-SPHERE_DIRECTIONS = {2: 1024, 3: 4096}
-SHARE_SCAN = 64
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(RADIAL_NODES)
 
 
-def weighted_rhs_integral(Q: float, etas: Sequence[EtaFunction], ring: SphericalRing,
-                          domain_mask: Callable[[np.ndarray], np.ndarray] | None = None,
-                          n: int | None = None) -> list[float]:
-    """Integrals of the constant Q times eta(|y - y0|)^n over the ring cut to a mask.
+def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
+                          image: tuple[str, Sequence[float], float] | None = None
+                          ) -> list[float]:
+    """Integrals of eta(|y - y0|)^n over the ring cut to an image, one per eta.
 
-    In polar coordinates about y0 each is Q |S^(dim-1)| times the integral of
-    eta(r)^n r^(dim-1) phi(r) over (r_inner, r_outer), where phi(r) is the mean
-    of the mask (a callable on (m, dim) point arrays; 1 without one) over
-    equidistributed directions on the sphere S(y0, r).  Gauss-Legendre in log r
-    runs on each piece between the radii where phi leaves or reaches 0 or 1 and
-    every eta's breakpoints and support ends.  phi does not depend on eta, so
-    the mask is sampled once for all of them; returns one value per eta.
+    `image` is ('ball' | 'exterior', center, R), a mapping's image_ball about
+    its center; None is all of space.  In polar coordinates about y0 each value
+    is |S^(n-1)| times the integral of eta(r)^n r^(n-1) phi(r) over
+    (r_inner, r_outer), where phi(r) is the share of the sphere S(y0, r) in the
+    image.  With d = |y0 - center| and cos = (r^2 + d^2 - R^2) / (2 r d)
+    clipped to [-1, 1], a ball's share is the arc fraction arccos(cos) / pi
+    (n = 2) or the cap fraction (1 - cos) / 2 (n = 3), and r < R for d = 0; an
+    exterior's is 1 minus that.  Gauss-Legendre in log r runs on each piece
+    between phi's kinks |R - d| and R + d and every eta's breakpoints and
+    support ends.
     """
-    n = ring.dim if n is None else n
+    n = ring.dim
     for eta in etas:
         ok, integ = admissible_check(eta, eta.r1, eta.r2)
         if not ok:
             raise ValueError(f"eta is not admissible (integral {integ:.6g} < 1)")
     lo, hi = ring.r_inner, ring.r_outer
-    if domain_mask is None:
-        share = np.ones_like
-    else:
-        c = ring.center_array()
-        dirs = _directions(ring.dim, SPHERE_DIRECTIONS[ring.dim])
-
-        def share(radii: np.ndarray) -> np.ndarray:
-            pts = c + radii[:, None, None] * dirs[None, :, :]
-            inside = np.asarray(domain_mask(pts.reshape(-1, ring.dim)), dtype=bool)
-            return inside.reshape(len(radii), len(dirs)).mean(axis=1)
-
-    def level(radii):
-        phi = share(radii)
-        return (phi > 0.0).astype(int) + (phi == 1.0)
-
-    # the scan brackets each change of level (empty, partial, full) of the
-    # share, and bisection narrows all brackets at once to adjacent floats
-    scan = np.linspace(lo, hi, SHARE_SCAN + 1)
-    levels = level(scan)
-    change = np.flatnonzero(np.diff(levels))
-    a, b = scan[change], scan[change + 1]
-    while True:
-        mid = 0.5 * (a + b)
-        narrow = np.flatnonzero((a < mid) & (mid < b))
-        if not narrow.size:
-            break
-        same = level(mid[narrow]) == levels[change[narrow]]
-        a[narrow[same]] = mid[narrow[same]]
-        b[narrow[~same]] = mid[narrow[~same]]
+    kinks = []
+    if image is not None:
+        if n not in (2, 3):
+            raise ValueError("image shares support dimensions 2 and 3 only")
+        shape, center, R = image
+        d = float(np.linalg.norm(ring.center_array() - np.asarray(center, dtype=float)))
+        kinks = [abs(R - d), R + d]
     ends = [x for eta in etas for x in (eta.r1, eta.r2, *eta.breaks)]
-    edges = np.log(np.unique(np.clip([lo, hi, *ends, *b], lo, hi)))
+    edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
     # Gauss-Legendre in t = log r, where dr = r dt
     half = 0.5 * np.diff(edges)[:, None]
     r = np.exp(edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
     weights = (half * _GL_WEIGHTS).ravel()
-    rd, phi = r ** ring.dim, share(r)
-    scale = float(Q) * unit_sphere_area(ring.dim)
+    phi = np.ones_like(r)
+    if image is not None:
+        if d == 0.0:
+            phi = (r < R).astype(float)
+        else:
+            cos = np.clip((r * r + d * d - R * R) / (2.0 * r * d), -1.0, 1.0)
+            phi = np.arccos(cos) / math.pi if n == 2 else (1.0 - cos) / 2.0
+        if shape == "exterior":
+            phi = 1.0 - phi
+    rd = r ** n
+    scale = unit_sphere_area(n)
     return [scale * float(np.sum(weights * eta(r) ** n * rd * phi)) for eta in etas]
 
 

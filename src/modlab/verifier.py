@@ -17,8 +17,8 @@ import numpy as np
 from .curves import CurveFamily
 from .geometry import SphericalRing, row_dot
 from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
-                       evaluate_many, image_ball, image_mask, multiplicity,
-                       sup_distortion, weight_Q, with_domain)
+                       evaluate_many, image_ball, weight_Q, with_domain)
+from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
 from .modulus import (EtaFunction, ModulusResult, admissible_check,
                       discrete_modulus, power_eta, reciprocal_eta, ring_grid,
                       uniform_eta, weighted_rhs_integral)
@@ -120,14 +120,13 @@ class PoletskiReport:
 def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
                     resolution: int = 128, etas: Sequence[EtaFunction] | None = None,
                     count: int = 192, solver_tol: float = 3e-3,
-                    rel_tol: float = DEFAULT_REL_TOL,
                     budget: int = 200_000) -> PoletskiReport:
     """Check that the modulus of the lifted family stays under every weighted bound.
 
     The left side is the discrete modulus of the lifted curves; each right side
     integrates Q * eta^n over the image ring cut to the mapping's image, with
-    Q = multiplicity times supremal distortion.  The check allows the stated
-    relative tolerance on the discrete side.
+    Q = multiplicity times supremal distortion.  The check allows the relative
+    tolerance DEFAULT_REL_TOL on the discrete side.
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
@@ -141,16 +140,16 @@ def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
     grid = _lifted_family_grid(f, family, resolution)
     lhs = discrete_modulus(family, grid, p=float(f.dim), tol=solver_tol, budget=budget)
 
-    q = multiplicity(f) * sup_distortion(f)
+    q = weight_Q(f).value
     ring = SphericalRing(tuple(np.asarray(y0, dtype=float).ravel()), r1, r2)
-    mask = image_mask(f)
-    rhs = [(eta, q * v)
-           for eta, v in zip(etas, weighted_rhs_integral(1.0, etas, ring, mask, n=f.dim))]
+    shape, R = image_ball(f)
+    values = weighted_rhs_integral(etas, ring, (shape, f.center, R))
+    rhs = [(eta, q * v) for eta, v in zip(etas, values)]
     min_rhs = min(v for _, v in rhs)
-    satisfied = lhs.value <= min_rhs * (1.0 + rel_tol)
+    satisfied = lhs.value <= min_rhs * (1.0 + DEFAULT_REL_TOL)
     return PoletskiReport(f.describe(), tuple(np.asarray(y0, dtype=float).ravel()),
                           r1, r2, lhs, rhs, satisfied, min_rhs - lhs.value,
-                          rel_tol, q, len(family))
+                          DEFAULT_REL_TOL, q, len(family))
 
 
 @dataclass
@@ -183,9 +182,9 @@ class WeightBoundReport:
 
 def weight_bound_check(f: MappingSpec, y1, eps1: float, eps1_star: float,
                    resolution: int = 128, count: int = 192,
-                   solver_tol: float = 3e-3, rel_tol: float = DEFAULT_REL_TOL,
+                   solver_tol: float = 3e-3,
                    budget: int = 200_000) -> WeightBoundReport:
-    """Evaluate M(lifted family) <= ||Q||_1 / (eps1_star - eps1)^n.
+    """Evaluate M(lifted family) <= ||Q||_1 / (eps1_star - eps1)^n within DEFAULT_REL_TOL.
 
     ||Q||_1 is taken over the whole image of the mapping and must be finite.
     """
@@ -198,7 +197,7 @@ def weight_bound_check(f: MappingSpec, y1, eps1: float, eps1_star: float,
     grid = _lifted_family_grid(f, family, resolution)
     lhs = discrete_modulus(family, grid, p=float(f.dim), tol=solver_tol, budget=budget)
     bound = wq.l1_norm / (eps1_star - eps1) ** f.dim
-    holds = lhs.value <= bound * (1.0 + rel_tol)
+    holds = lhs.value <= bound * (1.0 + DEFAULT_REL_TOL)
     return WeightBoundReport(f.describe(), tuple(np.asarray(y1, dtype=float).ravel()),
                    eps1, eps1_star, lhs.value, bound, holds, wq.l1_norm, lhs)
 

@@ -1,11 +1,15 @@
-"""The package's public names: every export resolves, every documented one exists."""
+"""The package's public names: every export resolves, every documented one exists,
+and every name the benchmark's tracer wraps is still there."""
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import modlab
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_every_export_resolves():
@@ -24,3 +28,23 @@ def test_readme_names_are_package_attributes():
     assert {"discrete_modulus", "power_eta", "cluster_set_estimate",
             "SphericalRing", "verify_poletski"} <= named
     assert sorted(name for name in named if not hasattr(modlab, name)) == []
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py wraps modlab functions at the module attributes the
+    # program reads them from, so a name dropped from src/ breaks install()
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        assert len(patched) > len(tracing.LOOKUPS)
+        assert all(getattr(module, attr) is not original
+                   for module, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is original for module, attr, original in patched)
