@@ -406,6 +406,25 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
 # Cluster set sampling
 # ---------------------------------------------------------------------------
 
+def _components(adjacency: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix.
+
+    Every node takes the least label among itself and its neighbours until no
+    label changes, so each component ends up labelled by its smallest index.
+    Returns the component count and labels numbered 0, 1, ... in order of
+    each component's smallest index.
+    """
+    labels = np.arange(len(adjacency))
+    while True:
+        nearest = np.where(adjacency, labels, len(labels)).min(axis=1, initial=len(labels))
+        new = np.minimum(labels, nearest)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots, labels = np.unique(labels, return_inverse=True)
+    return len(roots), labels
+
+
 def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
                          samples_per_radius: int = 64) -> list[ExtendedPoint]:
     """Representative limit points of f along spheres shrinking to the puncture.
@@ -426,8 +445,7 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
     images = np.vstack(pts)
     dist = chordal_matrix(images, images)
     # single linkage at the chordal threshold: the components of dist < threshold
-    from scipy.sparse.csgraph import connected_components
-    count, labels = connected_components(dist < CLUSTER_THRESHOLD, directed=False)
+    count, labels = _components(dist < CLUSTER_THRESHOLD)
 
     reps = []
     for label in range(count):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .curves import Curve, CurveFamily, GridDensity, GridSpec, curve_cell_lengths
 from .geometry import SphericalRing
@@ -206,10 +205,20 @@ class ModulusResult:
         }
 
 
-def _dual_ascent(A: sp.csr_matrix, w: float, p: float, lam: np.ndarray,
+def _matvec(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
+            rho: np.ndarray, m: int) -> np.ndarray:
+    """A @ rho: each curve's integral of rho, summed over its row in input order."""
+    return np.bincount(row, length * rho[cell], m)
+
+
+def _dual_ascent(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
+                 n_cells: int, w: float, p: float, lam: np.ndarray,
                  tol: float, budget: int):
     """Projected ascent with Barzilai-Borwein steps on the Lagrangian dual.
 
+    The constraint matrix A holds length[k] at (row[k], cell[k]), with the
+    entries sorted by row.  Both products are np.bincount sums, which add
+    from zero in input order as a CSR (A @ rho) or CSC (A^T @ lam) loop does.
     Primal recovery: rho = (A^T lam / (p w))^(1/(p-1)).  Every evaluation gives
     a lower bound, the dual value g(lam), and an upper bound, the energy of rho
     rescaled so its least curve integral is 1.  Stops once the best bounds are
@@ -218,13 +227,14 @@ def _dual_ascent(A: sp.csr_matrix, w: float, p: float, lam: np.ndarray,
     raises SolverBudgetExceeded after budget evaluations.
     """
     q = 1.0 / (p - 1.0)
+    m = len(lam)
     lower, upper, best_rho = -math.inf, math.inf, None
 
     def state(lam):
         nonlocal lower, upper, best_rho
-        s = A.T @ lam
+        s = np.bincount(cell, length * lam[row], n_cells)
         rho = (s / (p * w)) ** q
-        integrals = A @ rho
+        integrals = _matvec(row, cell, length, rho, m)
         g = lam.sum() - (1.0 - 1.0 / p) * float(s @ rho)
         lower = max(lower, g)
         least = integrals.min()
@@ -281,15 +291,14 @@ def discrete_modulus(family: CurveFamily, grid: GridSpec, p: float | None = None
 
     rows = [curve_cell_lengths(grid, c) for c in family]
     m = len(rows)
-    indptr = np.concatenate([[0], np.cumsum([len(r[0]) for r in rows])])
-    A = sp.csr_matrix(
-        (np.concatenate([r[1] for r in rows]),
-         np.concatenate([r[0] for r in rows]), indptr),
-        shape=(m, grid.n_cells))
+    row = np.repeat(np.arange(m), [len(cells) for cells, _ in rows])
+    cell = np.concatenate([cells for cells, _ in rows])
+    length = np.concatenate([lengths for _, lengths in rows])
     w = grid.cell_volume
 
-    lam, rho, lower, value, evals = _dual_ascent(A, w, p, np.ones(m), tol, budget)
-    residual = float(max(0.0, 1.0 - (A @ rho).min()))
+    lam, rho, lower, value, evals = _dual_ascent(row, cell, length, grid.n_cells, w, p,
+                                                 np.ones(m), tol, budget)
+    residual = float(max(0.0, 1.0 - _matvec(row, cell, length, rho, m).min()))
     density = GridDensity(grid, rho.reshape(grid.shape))
     # at an exact optimum the dual value can pass the energy by rounding only;
     # lowering a lower bound keeps it valid
@@ -354,7 +363,8 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     (n = 2) or the cap fraction (1 - cos) / 2 (n = 3), and r < R for d = 0; an
     exterior's is 1 minus that.  Gauss-Legendre in log r runs on each piece
     between phi's kinks |R - d| and R + d and every eta's breakpoints and
-    support ends.
+    support ends; in 2-D, where the arc share has square-root kinks, a piece
+    ending at a kink is integrated in u with log r = t_k +- u^2.
     """
     n = ring.dim
     for eta in etas:
@@ -372,9 +382,31 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     ends = [x for eta in etas for x in (eta.r1, eta.r2, *eta.breaks)]
     edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
     # Gauss-Legendre in t = log r, where dr = r dt
-    half = 0.5 * np.diff(edges)[:, None]
-    r = np.exp(edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
-    weights = (half * _GL_WEIGHTS).ravel()
+    t0, t1 = edges[:-1], edges[1:]
+    at0 = at1 = np.zeros(len(t0), bool)
+    if n == 2 and image is not None and d > 0.0:
+        # a piece with kinks at both ends is split at its midpoint
+        kink = np.isin(edges, np.log([k for k in kinks if lo < k < hi]))
+        at0, at1 = kink[:-1], kink[1:]
+        both = at0 & at1
+        mid = 0.5 * (t0 + t1)
+        t0 = np.concatenate([t0, mid[both]])
+        t1 = np.concatenate([np.where(both, mid, t1), t1[both]])
+        at0 = np.concatenate([at0, np.zeros(both.sum(), bool)])
+        at1 = np.concatenate([at1 & ~both, np.ones(both.sum(), bool)])
+    half = 0.5 * (t1 - t0)[:, None]
+    t = t0[:, None] + half * (1.0 + _GL_NODES)
+    weights = half * _GL_WEIGHTS
+    sub = (at0 | at1)[:, None]
+    if sub.any():
+        # the arc share goes like sqrt(|t - t_k|) at a kink t_k, so on a piece
+        # ending there t = t_k +- u^2 (dt = 2u du) makes the integrand smooth in u
+        s = 0.5 * np.sqrt(t1 - t0)[:, None]
+        u = s * (1.0 + _GL_NODES)
+        t = np.where(sub, np.where(at0[:, None], t0[:, None] + u * u, t1[:, None] - u * u), t)
+        weights = np.where(sub, s * _GL_WEIGHTS * 2.0 * u, weights)
+    r = np.exp(t).ravel()
+    weights = weights.ravel()
     phi = np.ones_like(r)
     if image is not None:
         if d == 0.0:

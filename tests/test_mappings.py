@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from modlab.curves import Curve
 from modlab.geometry import chordal_distance
 from modlab.mappings import (DomainError, LiftingAmbiguity, MappingSpec,
-                             cluster_set_estimate,
+                             _components, cluster_set_estimate,
                              derivative_matrix, distortion_at,
                              distortion_from_matrix, evaluate, evaluate_many,
                              finite_difference_derivative, identity, image_ball,
@@ -265,6 +266,41 @@ class TestClusterSet:
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             cluster_set_estimate(identity(), [0.0, 0.0], [0.9])
+
+
+def random_graph(seed, n, density):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T | np.eye(n, dtype=bool)
+
+
+class TestComponents:
+    """The numpy labels equal scipy's: same count, same label per node."""
+
+    @staticmethod
+    def assert_matches_scipy(adjacency):
+        count, labels = _components(adjacency)
+        ref_count, ref_labels = connected_components(adjacency, directed=False)
+        assert count == ref_count
+        np.testing.assert_array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_symmetric(self, seed):
+        n = 20 + 25 * seed
+        # around the connectivity threshold: a few large components and singletons
+        self.assert_matches_scipy(random_graph(seed, n, 1.5 / n))
+
+    def test_path_graph(self):
+        # node i joins i + 1, so label 0 travels 199 hops to the far end
+        i = np.arange(199)
+        adjacency = np.eye(200, dtype=bool)
+        adjacency[i, i + 1] = adjacency[i + 1, i] = True
+        self.assert_matches_scipy(adjacency)
+        assert _components(adjacency)[0] == 1
+
+    def test_isolated_nodes(self):
+        self.assert_matches_scipy(np.eye(50, dtype=bool))
+        assert _components(np.zeros((50, 50), dtype=bool))[0] == 50
 
 
 class TestSpecValidation:

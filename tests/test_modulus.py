@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from modlab.curves import Curve, CurveFamily, GridSpec, generate_ring_family
+from modlab.curves import (Curve, CurveFamily, GridSpec, curve_cell_lengths,
+                           generate_ring_family)
 from modlab.geometry import SphericalRing
 from modlab.mappings import image_ball, radial_stretch
 from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
@@ -165,9 +167,7 @@ class TestWeightedRhsIntegral:
             radial, _ = quad(integrand, r1, r2, points=kinks or None,
                              epsabs=0.0, epsrel=1e-12, limit=200)
             value, = weighted_rhs_integral([eta], ring, (image, (0.0,) * dim, R))
-            # the arc share's square-root kinks cost the 2-D rule about 5e-6
-            rel = 1e-12 if dim == 3 else 1e-5
-            assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=rel)
+            assert value == pytest.approx(unit_sphere_area(dim) * radial, rel=1e-12)
 
     # the ring (0.05, 0.45) about (0.2, 0, ...) straddles the image ball of
     # radius 0.5: the share of its spheres is 1 below r = 0.3 and partial above
@@ -195,8 +195,7 @@ class TestWeightedRhsIntegral:
             alone, = weighted_rhs_integral([eta], ring, image)
             # the step eta keeps its pieces; the others are also cut at b, which
             # moves them within the rule's accuracy on a partial share
-            rel = 1e-14 if eta is step else 1e-6
-            assert value == pytest.approx(alone, rel=rel)
+            assert value == pytest.approx(alone, rel=1e-14)
 
     def test_inadmissible_eta_rejected(self):
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
@@ -345,6 +344,33 @@ class TestDiscreteModulus:
                                "active_constraints", "residual", "grid",
                                "family_size"}
         assert report["family_size"] == 8
+
+
+def oracle_case(name):
+    """The ring, rectangle and mixed radial/spiral oracle families with their grids."""
+    ring = SphericalRing((0.0, 0.0), 1.0, math.e)
+    if name == "ring":
+        return generate_ring_family(ring, 256), ring_grid(ring, 256, 256)
+    if name == "rectangle":
+        return unit_square_family(256), GridSpec((0.0, 0.0), (1.0, 1.0), (256, 256))
+    spiral = generate_ring_family(ring, 128, kind="spiral", pitch=0.5, vertex_budget=32)
+    family = CurveFamily(list(generate_ring_family(ring, 128)) + list(spiral), "mixed")
+    return family, ring_grid(ring, 256, 256)
+
+
+@pytest.mark.parametrize("name", ["ring", "rectangle", "mixed"])
+def test_residual_matches_csr_product(name):
+    # the solver's products must sum each row in CSR order, so its residual
+    # equals the one from scipy's CSR matrix bit for bit
+    family, grid = oracle_case(name)
+    result = discrete_modulus(family, grid, p=2.0, tol=3e-3)
+    rows = [curve_cell_lengths(grid, c) for c in family]
+    indptr = np.concatenate([[0], np.cumsum([len(cells) for cells, _ in rows])])
+    A = sp.csr_matrix((np.concatenate([lengths for _, lengths in rows]),
+                       np.concatenate([cells for cells, _ in rows]), indptr),
+                      shape=(len(rows), grid.n_cells))
+    rho = result.density.values.ravel()
+    assert result.residual == max(0.0, 1.0 - (A @ rho).min())
 
 
 class TestRingGrid:

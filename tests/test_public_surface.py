@@ -1,8 +1,11 @@
 """The package's public names: every export resolves, every documented one exists,
-and every name the benchmark's tracer wraps is still there."""
+every name the benchmark's tracer wraps is still there, and importing the
+package pulls in numpy only."""
 
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,14 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is original for module, attr, original in patched)
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what the
+    # package and its CLI import on their own
+    code = ("import sys, modlab, modlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
