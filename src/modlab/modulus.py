@@ -26,25 +26,11 @@ DEFAULT_BUDGET = 100_000
 # Analytic formulas
 # ---------------------------------------------------------------------------
 
-def _gamma_half(x: float) -> float:
-    """Gamma function for positive integer and half-integer arguments."""
-    if x <= 0 or round(2 * x) != 2 * x:
-        raise ValueError("argument must be a positive multiple of 1/2")
-    if x == int(x):
-        g, v = 1.0, 1.0
-    else:
-        g, v = math.sqrt(math.pi), 0.5
-    while v < x - 0.5:
-        g *= v
-        v += 1.0
-    return g
-
-
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in n-space: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    return 2.0 * math.pi ** (n / 2.0) / _gamma_half(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def ring_modulus_analytic(n: int, r1: float, r2: float) -> float:
@@ -160,11 +146,7 @@ def admissible_check(eta: EtaFunction, r1: float, r2: float) -> tuple[bool, floa
 
     Exact for piecewise-constant representations; closed form otherwise.
     """
-    if eta.kind == "piecewise" and any(v < 0 for v in eta.levels):
-        raise ValueError("eta must be nonnegative")
     value = eta.integral(r1, r2)
-    if value < 0:
-        raise ValueError("eta integral came out negative")
     return value >= 1.0 - 1e-12, value
 
 
@@ -363,15 +345,18 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     (n = 2) or the cap fraction (1 - cos) / 2 (n = 3), and r < R for d = 0; an
     exterior's is 1 minus that.  Gauss-Legendre in log r runs on each piece
     between phi's kinks |R - d| and R + d and every eta's breakpoints and
-    support ends; in 2-D, where the arc share has square-root kinks, a piece
-    ending at a kink is integrated in u with log r = t_k +- u^2.
+    support ends; in 2-D with d > 0, where the arc share has square-root kinks,
+    each piece is integrated in u with log r = t0 + (t1 - t0)(3u^2 - 2u^3).
+    Every eta must be admissible for the ring: its integral over
+    (r_inner, r_outer) reaches 1.
     """
     n = ring.dim
-    for eta in etas:
-        ok, integ = admissible_check(eta, eta.r1, eta.r2)
-        if not ok:
-            raise ValueError(f"eta is not admissible (integral {integ:.6g} < 1)")
     lo, hi = ring.r_inner, ring.r_outer
+    for eta in etas:
+        ok, integ = admissible_check(eta, lo, hi)
+        if not ok:
+            raise ValueError(f"eta {eta.describe()} is inadmissible "
+                             f"(integral {integ:.6g} < 1)")
     kinks = []
     if image is not None:
         if n not in (2, 3):
@@ -382,29 +367,17 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     ends = [x for eta in etas for x in (eta.r1, eta.r2, *eta.breaks)]
     edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
     # Gauss-Legendre in t = log r, where dr = r dt
-    t0, t1 = edges[:-1], edges[1:]
-    at0 = at1 = np.zeros(len(t0), bool)
+    t0, t1 = edges[:-1, None], edges[1:, None]
     if n == 2 and image is not None and d > 0.0:
-        # a piece with kinks at both ends is split at its midpoint
-        kink = np.isin(edges, np.log([k for k in kinks if lo < k < hi]))
-        at0, at1 = kink[:-1], kink[1:]
-        both = at0 & at1
-        mid = 0.5 * (t0 + t1)
-        t0 = np.concatenate([t0, mid[both]])
-        t1 = np.concatenate([np.where(both, mid, t1), t1[both]])
-        at0 = np.concatenate([at0, np.zeros(both.sum(), bool)])
-        at1 = np.concatenate([at1 & ~both, np.ones(both.sum(), bool)])
-    half = 0.5 * (t1 - t0)[:, None]
-    t = t0[:, None] + half * (1.0 + _GL_NODES)
-    weights = half * _GL_WEIGHTS
-    sub = (at0 | at1)[:, None]
-    if sub.any():
-        # the arc share goes like sqrt(|t - t_k|) at a kink t_k, so on a piece
-        # ending there t = t_k +- u^2 (dt = 2u du) makes the integrand smooth in u
-        s = 0.5 * np.sqrt(t1 - t0)[:, None]
-        u = s * (1.0 + _GL_NODES)
-        t = np.where(sub, np.where(at0[:, None], t0[:, None] + u * u, t1[:, None] - u * u), t)
-        weights = np.where(sub, s * _GL_WEIGHTS * 2.0 * u, weights)
+        # the arc share goes like sqrt(|t - t_k|) at a kink t_k; the map is
+        # flat at both ends of the piece, which makes the integrand smooth in u
+        u = 0.5 * (1.0 + _GL_NODES)
+        t = t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u)
+        weights = 3.0 * (t1 - t0) * u * (1.0 - u) * _GL_WEIGHTS
+    else:
+        half = 0.5 * (t1 - t0)
+        t = t0 + half * (1.0 + _GL_NODES)
+        weights = half * _GL_WEIGHTS
     r = np.exp(t).ravel()
     weights = weights.ravel()
     phi = np.ones_like(r)

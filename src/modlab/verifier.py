@@ -19,9 +19,8 @@ from .geometry import SphericalRing, row_dot
 from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
                        evaluate_many, image_ball, weight_Q, with_domain)
 from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
-from .modulus import (EtaFunction, ModulusResult, admissible_check,
-                      discrete_modulus, power_eta, reciprocal_eta, ring_grid,
-                      uniform_eta, weighted_rhs_integral)
+from .modulus import (EtaFunction, ModulusResult, discrete_modulus, power_eta,
+                      reciprocal_eta, ring_grid, uniform_eta, weighted_rhs_integral)
 
 # Discrete modulus carries the dominant error; closed-form sides are exact.
 DEFAULT_REL_TOL = 0.02
@@ -69,15 +68,17 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     return CurveFamily(lifted, label)
 
 
-def _lifted_family_grid(f: MappingSpec, family: CurveFamily, resolution: int):
-    """Matched grid around the lifted family, centered on the puncture."""
+def _lifted_modulus(f: MappingSpec, y0, r1: float, r2: float, resolution: int,
+                    count: int, tol: float, budget: int) -> ModulusResult:
+    """Discrete modulus of the lifted ring family on a grid matched to it about the puncture."""
+    family = lifted_ring_family(f, y0, r1, r2, count)
     c = f.center_array()
     radii = np.linalg.norm(np.concatenate([curve.vertices for curve in family]) - c, axis=1)
     rmin, rmax = float(radii.min()), float(radii.max())
     if rmin <= 0 or rmin >= rmax:
         raise ValueError("degenerate lifted family geometry")
-    ring = SphericalRing(tuple(c), rmin, rmax)
-    return ring_grid(ring, resolution, len(family))
+    grid = ring_grid(SphericalRing(tuple(c), rmin, rmax), resolution, len(family))
+    return discrete_modulus(family, grid, p=float(f.dim), tol=tol, budget=budget)
 
 
 @dataclass
@@ -94,7 +95,6 @@ class PoletskiReport:
     slack: float
     rel_tol: float
     q_value: float
-    family_size: int
 
     def min_rhs(self) -> float:
         return min(v for _, v in self.rhs_per_eta)
@@ -106,14 +106,14 @@ class PoletskiReport:
             "y0": list(self.y0),
             "r1": self.r1,
             "r2": self.r2,
-            "lhs": self.lhs.to_report(),
+            "lhs": self.lhs.value,
             "rhs_per_eta": [{"eta": e.describe(), "value": v}
                             for e, v in self.rhs_per_eta],
             "q_value": self.q_value,
             "satisfied": self.satisfied,
             "slack": self.slack,
             "rel_tol": self.rel_tol,
-            "family_size": self.family_size,
+            "family_size": self.lhs.family_size,
         }
 
 
@@ -130,26 +130,18 @@ def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
-    etas = list(default_etas(r1, r2)) if etas is None else list(etas)
-    for eta in etas:
-        ok, integ = admissible_check(eta, r1, r2)
-        if not ok:
-            raise ValueError(f"eta {eta.describe()} is inadmissible "
-                             f"(integral {integ:.6g} < 1)")
-    family = lifted_ring_family(f, y0, r1, r2, count)
-    grid = _lifted_family_grid(f, family, resolution)
-    lhs = discrete_modulus(family, grid, p=float(f.dim), tol=solver_tol, budget=budget)
-
-    q = weight_Q(f).value
-    ring = SphericalRing(tuple(np.asarray(y0, dtype=float).ravel()), r1, r2)
+    etas = default_etas(r1, r2) if etas is None else list(etas)
+    y0 = tuple(np.asarray(y0, dtype=float).ravel())
     shape, R = image_ball(f)
-    values = weighted_rhs_integral(etas, ring, (shape, f.center, R))
+    q = weight_Q(f).value
+    # an inadmissible eta is rejected here, before any lift or solve
+    values = weighted_rhs_integral(etas, SphericalRing(y0, r1, r2), (shape, f.center, R))
     rhs = [(eta, q * v) for eta, v in zip(etas, values)]
+    lhs = _lifted_modulus(f, y0, r1, r2, resolution, count, solver_tol, budget)
     min_rhs = min(v for _, v in rhs)
     satisfied = lhs.value <= min_rhs * (1.0 + DEFAULT_REL_TOL)
-    return PoletskiReport(f.describe(), tuple(np.asarray(y0, dtype=float).ravel()),
-                          r1, r2, lhs, rhs, satisfied, min_rhs - lhs.value,
-                          DEFAULT_REL_TOL, q, len(family))
+    return PoletskiReport(f.describe(), y0, r1, r2, lhs, rhs, satisfied,
+                          min_rhs - lhs.value, DEFAULT_REL_TOL, q)
 
 
 @dataclass
@@ -193,9 +185,7 @@ def weight_bound_check(f: MappingSpec, y1, eps1: float, eps1_star: float,
     wq = weight_Q(f)
     if not math.isfinite(wq.l1_norm):
         raise ValueError("the weight is not integrable over the image")
-    family = lifted_ring_family(f, y1, eps1, eps1_star, count)
-    grid = _lifted_family_grid(f, family, resolution)
-    lhs = discrete_modulus(family, grid, p=float(f.dim), tol=solver_tol, budget=budget)
+    lhs = _lifted_modulus(f, y1, eps1, eps1_star, resolution, count, solver_tol, budget)
     bound = wq.l1_norm / (eps1_star - eps1) ** f.dim
     holds = lhs.value <= bound * (1.0 + DEFAULT_REL_TOL)
     return WeightBoundReport(f.describe(), tuple(np.asarray(y1, dtype=float).ravel()),

@@ -24,9 +24,8 @@ class TestAnalyticFormulas:
         assert unit_sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
         assert unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
         assert unit_sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
-        for n in range(2, 9):  # cross-check the local gamma against math.gamma
-            assert unit_sphere_area(n) == pytest.approx(
-                2 * math.pi ** (n / 2) / math.gamma(n / 2), rel=1e-14)
+        assert unit_sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-15)
+        assert unit_sphere_area(6) == pytest.approx(math.pi ** 3, rel=1e-15)
 
     def test_ring_modulus_values(self):
         assert ring_modulus_analytic(2, 1.0, math.e) == pytest.approx(2 * math.pi)
@@ -152,9 +151,15 @@ class TestWeightedRhsIntegral:
         ("ball", 0.5, 0.6, 0.2, 0.5),        # the ring is centered outside it
         ("exterior", 2.0, 2.2, 0.1, 0.6),    # outside the ball of radius 1/0.5
         ("ball", 0.12, 0.36, 0.2, 1.0),      # a small cap of each sphere
+        ("ball", 0.5, 0.2, "|R-d|", 0.6),    # ring ends on the share's kinks
+        ("ball", 0.5, 0.2, 0.05, "R+d"),
+        ("exterior", 2.0, 2.2, "|R-d|", 0.6),
     ], ids=["ball-0.2-0.05-0.45", "ball-0.6-0.2-0.5", "exterior-2.2-0.1-0.6",
-            "small_cap-0.36-0.2-1.0"])
+            "small_cap-0.36-0.2-1.0", "ball-0.2-kink-0.6", "ball-0.2-0.05-kink",
+            "exterior-2.2-kink-0.6"])
     def test_off_center_ball_masks(self, dim, image, R, offset, r1, r2):
+        kink = {"|R-d|": abs(R - offset), "R+d": R + offset}
+        r1, r2 = kink.get(r1, r1), kink.get(r2, r2)
         exterior = image == "exterior"
         ring = SphericalRing((offset,) + (0.0,) * (dim - 1), r1, r2)
         for eta in (uniform_eta(r1, r2), reciprocal_eta(r1, r2), power_eta(r1, r2)):
@@ -201,6 +206,11 @@ class TestWeightedRhsIntegral:
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
         with pytest.raises(ValueError):
             weighted_rhs_integral([bad], self.RING)
+
+    def test_admissible_over_the_ring(self):
+        # admissible on its own support (0.5, 3), but only 0.4 of it lies in (1, 2)
+        with pytest.raises(ValueError, match="inadmissible"):
+            weighted_rhs_integral([uniform_eta(0.5, 3.0)], self.RING)
 
 
 def unit_square_family(count):

@@ -107,10 +107,16 @@ class TestVerifyPoletski:
         assert small.satisfied and large.satisfied
         assert large.slack <= small.slack + 1e-9
 
-    def test_inadmissible_eta_rejected(self):
+    def test_inadmissible_eta_rejected(self, monkeypatch):
+        from modlab import verifier
         from modlab.modulus import EtaFunction
+
+        def no_lift(*args, **kwargs):
+            pytest.fail("an inadmissible eta must be rejected before any lift")
+
+        monkeypatch.setattr(verifier, "lifted_ring_family", no_lift)
         bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.3,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inadmissible"):
             verify_poletski(identity(epsilon0=3.0), [0.0, 0.0], 1.0, 2.0,
                             etas=[bad])
 
