@@ -1,7 +1,8 @@
 """The mapping zoo: branched maps of a punctured ball with analytic derivative data.
 
-Members: identity, winding (k-fold angular wrap on the first two axes), radial
-stretch x -> |x|^(a-1) x and inversion x -> x/|x|^2.  All fix the puncture
+Two families: the winding (k-fold angular wrap on the first two axes) and the
+radial power x -> |x|^(a-1) x, which is the identity at a = 1, the inversion
+x/|x|^2 at a = -1 and the radial stretch at a = alpha > 0.  All fix the puncture
 center, carry exact derivatives and preimage formulas, and expose the
 distortion coefficient, multiplicity, weight, curve lifting, and cluster-set
 sampling used by the inequality scenarios.
@@ -73,6 +74,11 @@ class MappingSpec:
     def center_array(self) -> np.ndarray:
         return np.asarray(self.center, dtype=float)
 
+    @property
+    def power(self) -> float:
+        """The exponent a of the radial power x -> |x|^(a-1) x; 1 for the winding."""
+        return {"radial_stretch": self.alpha, "inversion": -1.0}.get(self.kind, 1.0)
+
     def describe(self) -> str:
         if self.kind == "winding":
             return f"winding(k={self.k})"
@@ -106,8 +112,6 @@ def inversion(dim: int = 2, center: Sequence[float] = (), epsilon0: float = 0.5)
 
 def _eval_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
     """Evaluate on (m, n) coordinates relative to the center."""
-    if f.kind == "identity":
-        return z.copy()
     if f.kind == "winding":
         out = z.copy()
         r = np.hypot(z[:, 0], z[:, 1])
@@ -115,15 +119,12 @@ def _eval_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
         out[:, 0] = r * np.cos(f.k * th)
         out[:, 1] = r * np.sin(f.k * th)
         return out
-    if f.kind == "radial_stretch":
-        r = np.linalg.norm(z, axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(r > 0.0, r ** (f.alpha - 1.0), 0.0)
-        return scale * z
-    r2 = np.sum(z * z, axis=1, keepdims=True)  # inversion
-    if np.any(r2 == 0.0):
-        raise DomainError("inversion is undefined at the puncture")
-    return z / r2
+    r = np.linalg.norm(z, axis=1, keepdims=True)
+    if f.power < 0.0 and np.any(r == 0.0):
+        raise DomainError(f"{f.kind} is undefined at the puncture")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(r > 0.0, r ** (f.power - 1.0), 0.0)
+    return scale * z
 
 
 def evaluate(f: MappingSpec, x) -> np.ndarray:
@@ -131,10 +132,9 @@ def evaluate(f: MappingSpec, x) -> np.ndarray:
     p = np.asarray(x, dtype=float).ravel()
     if len(p) != f.dim:
         raise ValueError("point dimension does not match the mapping")
-    c = f.center_array()
-    if np.linalg.norm(p - c) == 0.0:
+    if np.linalg.norm(p - f.center_array()) == 0.0:
         raise DomainError("the puncture has no image")
-    return c + _eval_rel(f, (p - c)[None, :])[0]
+    return evaluate_many(f, p)[0]
 
 
 def evaluate_many(f: MappingSpec, pts: np.ndarray) -> np.ndarray:
@@ -149,8 +149,6 @@ def evaluate_many(f: MappingSpec, pts: np.ndarray) -> np.ndarray:
 
 def _derivative_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
     n = f.dim
-    if f.kind == "identity":
-        return np.eye(n)
     if f.kind == "winding":
         r = math.hypot(z[0], z[1])
         if r == 0.0:
@@ -163,17 +161,11 @@ def _derivative_rel(f: MappingSpec, z: np.ndarray) -> np.ndarray:
         M = np.eye(n)
         M[:2, :2] = np.outer(er_out, er_in) + f.k * np.outer(et_out, et_in)
         return M
-    if f.kind == "radial_stretch":
-        r = float(np.linalg.norm(z))
-        if r == 0.0:
-            raise DomainError("stretch derivative is undefined at the puncture")
-        u = z / r
-        return r ** (f.alpha - 1.0) * (np.eye(n) + (f.alpha - 1.0) * np.outer(u, u))
-    r2 = float(z @ z)  # inversion
-    if r2 == 0.0:
-        raise DomainError("inversion derivative is undefined at the puncture")
-    u = z / math.sqrt(r2)
-    return (np.eye(n) - 2.0 * np.outer(u, u)) / r2
+    r = float(np.linalg.norm(z))
+    if r == 0.0:
+        raise DomainError(f"{f.kind} derivative is undefined at the puncture")
+    u = z / r
+    return r ** (f.power - 1.0) * (np.eye(n) + (f.power - 1.0) * np.outer(u, u))
 
 
 def derivative_matrix(f: MappingSpec, x) -> np.ndarray:
@@ -246,9 +238,8 @@ def sup_distortion(f: MappingSpec) -> float:
     n = f.dim
     if f.kind == "winding":
         return float(f.k) ** (n - 1)
-    if f.kind == "radial_stretch":
-        return max(f.alpha, 1.0) ** n / f.alpha
-    return 1.0
+    a = abs(f.power)
+    return max(a, 1.0) ** n / a
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +248,8 @@ def sup_distortion(f: MappingSpec) -> float:
 
 def image_ball(f: MappingSpec) -> tuple[str, float]:
     """The image of the punctured ball: ('ball', r) or ('exterior', r) about the center."""
-    if f.kind == "radial_stretch":
-        return "ball", f.epsilon0 ** f.alpha
-    if f.kind == "inversion":
-        return "exterior", 1.0 / f.epsilon0
-    return "ball", f.epsilon0
+    a = f.power  # the winding keeps |x|, as the radial power does at a = 1
+    return ("ball" if a > 0 else "exterior"), f.epsilon0 ** a
 
 
 def image_mask(f: MappingSpec):
@@ -322,12 +310,8 @@ def _preimages_rel(f: MappingSpec, w: np.ndarray) -> np.ndarray:
         z[..., 1] = r * np.sin(th)
         return z
     with np.errstate(divide="ignore", invalid="ignore"):
-        if f.kind == "radial_stretch":
-            scale = np.sqrt(row_dot(w, w)) ** (1.0 / f.alpha - 1.0)
-            return (scale[:, None] * w)[:, None, :]
-        if f.kind == "inversion":
-            return (w / row_dot(w, w)[:, None])[:, None, :]
-    return w[:, None, :].copy()  # identity
+        scale = np.sqrt(row_dot(w, w)) ** (1.0 / f.power - 1.0)
+        return (scale[:, None] * w)[:, None, :]
 
 
 def preimages(f: MappingSpec, y) -> list[np.ndarray]:

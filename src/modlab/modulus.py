@@ -289,13 +289,14 @@ def discrete_modulus(family: CurveFamily, grid: GridSpec, p: float | None = None
 
 
 def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpec:
-    """Square grid centered on a ring, sized so cells match the curve spacing.
+    """Square grid about a ring, sized so cells match the curve spacing.
 
     A family of `family_size` curves equidistributed over directions is spaced
     2 pi r_outer / family_size apart (n = 2) at the outer sphere.  Cells finer
     than that spacing let the minimizing density collapse onto per-curve tubes
     and undershoot badly, so the box half-width is grown (never below the ring
-    itself) until the cell size equals that spacing.
+    itself) until the cell size equals that spacing.  The box is shifted half a
+    cell so the ring's center is a cell center and no axis lies in a grid plane.
     """
     r2 = ring.r_outer
     n = ring.dim
@@ -306,7 +307,7 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpe
     else:
         raise ValueError("ring grids support dimensions 2 and 3 only")
     half = max(r2 * (1.0 + 2.0 / resolution), spacing * resolution / 2.0)
-    c = ring.center_array()
+    c = ring.center_array() - half / resolution
     return GridSpec(tuple(c - half), tuple(c + half), (resolution,) * n)
 
 

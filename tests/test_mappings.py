@@ -9,18 +9,29 @@ from scipy.sparse.csgraph import connected_components
 from modlab.curves import Curve
 from modlab.geometry import chordal_distance
 from modlab.mappings import (DomainError, LiftingAmbiguity, MappingSpec,
-                             _components, cluster_set_estimate,
+                             _components, _preimages_rel, cluster_set_estimate,
                              derivative_matrix, distortion_at,
                              distortion_from_matrix, evaluate, evaluate_many,
                              finite_difference_derivative, identity, image_ball,
                              image_mask, inversion, lift_curve, multiplicity,
-                             preimages, radial_stretch,
+                             preimages, radial_stretch, sup_distortion,
                              weight_Q, winding, COMPLETED, HIT_OUTER_SPHERE,
                              HIT_PUNCTURE)
 
 ZOO = [identity(), winding(2), winding(3), winding(5),
        radial_stretch(0.5), radial_stretch(2.0), radial_stretch(3.0),
        inversion()]
+
+
+def ball_points(dim, count=400):
+    """Seeded points of the punctured ball of radius 0.5, none at the center."""
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(count, dim))
+    return x * (rng.uniform(0.01, 0.5, count) / np.linalg.norm(x, axis=1))[:, None]
+
+
+def within_ulps(actual, exact, ulps):
+    return np.all(np.abs(actual - exact) <= ulps * np.spacing(np.abs(exact)))
 
 
 class TestEvaluate:
@@ -43,6 +54,26 @@ class TestEvaluate:
     def test_puncture_rejected(self):
         with pytest.raises(DomainError):
             evaluate(identity(), [0.0, 0.0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_identity_is_bit_exact(self, dim):
+        # the radial power at a = 1 scales by r**0.0, which is exactly 1
+        x = ball_points(dim)
+        assert np.array_equal(evaluate_many(identity(dim=dim), x), x)
+        assert np.array_equal(_preimages_rel(identity(dim=dim), x)[:, 0], x)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inversion_within_four_ulps(self, dim):
+        x = ball_points(dim)
+        exact = x / np.sum(x * x, axis=1, keepdims=True)
+        assert within_ulps(evaluate_many(inversion(dim=dim), x), exact, 4)
+        assert within_ulps(_preimages_rel(inversion(dim=dim), x)[:, 0], exact, 4)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inversion_rejects_puncture(self, dim):
+        f = inversion(dim=dim, center=(0.3,) * dim)
+        with pytest.raises(DomainError):
+            evaluate_many(f, [f.center])
 
     def test_translated_center(self):
         f = radial_stretch(2.0, center=(1.0, 1.0))
@@ -103,6 +134,26 @@ class TestDistortion:
         with pytest.raises(DomainError):
             derivative_matrix(winding(2, dim=3), [0.0, 0.0, 0.3])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_puncture_has_no_derivative(self, dim):
+        for f in (identity(dim=dim), radial_stretch(2.0, dim=dim), inversion(dim=dim)):
+            with pytest.raises(DomainError):
+                derivative_matrix(f, f.center)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_radial_power_derivatives(self, dim):
+        for x in ball_points(dim, 100):
+            assert np.array_equal(derivative_matrix(identity(dim=dim), x), np.eye(dim))
+            r2 = float(x @ x)
+            u = x / math.sqrt(r2)
+            exact = (np.eye(dim) - 2.0 * np.outer(u, u)) / r2
+            assert within_ulps(derivative_matrix(inversion(dim=dim), x), exact, 4)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_conformal_members_have_unit_sup(self, dim):
+        assert sup_distortion(identity(dim=dim)) == 1.0
+        assert sup_distortion(inversion(dim=dim)) == 1.0
+
     def test_three_dimensional_winding(self):
         rep = distortion_at(winding(2, dim=3), [0.3, 0.1, 0.2])
         assert rep.K_O == pytest.approx(4.0, rel=1e-10)  # k^n / k at n=3
@@ -149,6 +200,16 @@ class TestWeight:
         mask = image_mask(radial_stretch(2.0, epsilon0=0.5))
         assert mask(np.array([[0.1, 0.0]]))[0]
         assert not mask(np.array([[0.3, 0.0]]))[0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inversion_image_radius(self, dim):
+        # every two-decimal epsilon0 up to 10 gives 1/epsilon0 exactly; pow is
+        # not correctly rounded everywhere, so random ones are within one ulp
+        for eps in [k / 100 for k in range(1, 1001)]:
+            assert image_ball(inversion(dim=dim, epsilon0=eps)) == ("exterior", 1.0 / eps)
+        for eps in np.random.default_rng(dim).uniform(0.01, 10.0, 10_000).tolist():
+            shape, r = image_ball(inversion(dim=dim, epsilon0=eps))
+            assert shape == "exterior" and within_ulps(r, 1.0 / eps, 1)
 
 
 class TestPreimages:

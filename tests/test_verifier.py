@@ -8,7 +8,8 @@ import pytest
 from modlab.curves import Curve, generate_ring_family
 from modlab.geometry import SphericalRing
 from modlab.mappings import (COMPLETED, HIT_OUTER_SPHERE, identity, inversion,
-                             lift_curve, preimages, radial_stretch, winding)
+                             lift_curve, multiplicity, preimages, radial_stretch,
+                             winding, with_domain)
 from modlab.modulus import reciprocal_eta, uniform_eta
 from modlab.verifier import (LIFT_VERTEX_BUDGET, lifted_ring_family, continuity_bound,
                              weight_bound_check, verify_poletski)
@@ -119,6 +120,28 @@ class TestVerifyPoletski:
         with pytest.raises(ValueError, match="inadmissible"):
             verify_poletski(identity(epsilon0=3.0), [0.0, 0.0], 1.0, 2.0,
                             etas=[bad])
+
+    def test_invariant_under_similarity(self):
+        # the 12 acceptance-suite configs with the domain scaled by 2 and moved
+        # to (0.7, -0.2): the image ring scales by 2^a, and the lifted family
+        # and its grid move with the domain, so the discrete problem is the same
+        zoo = [(winding(2), (0.1, 0.4), (0.05, 0.3)), (winding(3), (0.1, 0.4), (0.05, 0.3)),
+               (winding(5), (0.1, 0.4), (0.05, 0.3)),
+               (radial_stretch(0.5), (0.15, 0.6), (0.1, 0.5)),
+               (radial_stretch(2.0), (0.02, 0.2), (0.01, 0.1)),
+               (radial_stretch(3.0), (0.01, 0.08), (0.002, 0.05))]
+        c = (0.7, -0.2)
+        for f, *rings in zoo:
+            moved, s = with_domain(f, c, 2.0 * f.epsilon0), 2.0 ** f.power
+            count = max(48, 256 // multiplicity(f))
+            for r1, r2 in rings:
+                base = verify_poletski(f, (0.0, 0.0), r1, r2, 64, count=count)
+                image = verify_poletski(moved, c, s * r1, s * r2, 64, count=count)
+                case = f"{f.describe()} on ({r1}, {r2})"
+                assert image.lhs.value == pytest.approx(base.lhs.value, rel=1e-12), case
+                assert image.lhs.iterations == base.lhs.iterations, case
+                for (_, a), (_, b) in zip(image.rhs_per_eta, base.rhs_per_eta):
+                    assert a == pytest.approx(b, rel=4e-15), case
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
