@@ -255,7 +255,14 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
                    slack=exact - result.value)
     elif cfg.kind == "discrete_modulus":
         if cfg.family_file:
-            family = load_family(cfg.family_file)
+            try:
+                family = load_family(cfg.family_file)
+                dim = family.dim  # an empty family has none
+            except (OSError, ValueError) as exc:
+                raise ConfigError("scenario.family_file", str(exc)) from exc
+            if dim != cfg.dim:
+                raise ConfigError("scenario.family_file", f"holds {dim}-D curves, "
+                                                          f"but mapping.dim is {cfg.dim}")
             grid = family_grid(family, cfg.resolution)
         else:
             ring = SphericalRing(cfg.y0, cfg.r1, cfg.r2)

@@ -48,33 +48,28 @@ def ring_modulus_analytic(n: int, r1: float, r2: float) -> float:
 
 @dataclass(frozen=True)
 class EtaFunction:
-    """Nonnegative test function on (r1, r2), piecewise constant or closed form.
+    """The normalized power c * r^s on (r1, r2), zero outside.
 
-    kinds:
-      piecewise  - constant levels between sorted breakpoints
-      reciprocal - 1 / (r log(r2/r1)), the extremizer for the ring
-      power      - a * r^s normalized so the integral over (r1, r2) is 1
+    c = (s + 1) / (r2^(s+1) - r1^(s+1)), or 1 / log(r2/r1) at s = -1, so the
+    integral over (r1, r2) is 1.  s = 0 is the uniform 1 / (r2 - r1), and
+    s = -1 the extremal 1 / (r log(r2/r1)) for the ring.
     """
 
-    kind: str
     r1: float
     r2: float
-    breaks: tuple[float, ...] = ()
-    levels: tuple[float, ...] = ()
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.r1 >= self.r2:
-            raise ValueError("eta support requires r1 < r2")
-        if self.kind == "piecewise":
-            if len(self.breaks) != len(self.levels) + 1:
-                raise ValueError("piecewise eta needs one more breakpoint than levels")
-            if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-                raise ValueError("breakpoints must increase")
-            if any(v < 0 for v in self.levels):
-                raise ValueError("eta must be nonnegative")
-        elif self.kind not in ("reciprocal", "power"):
-            raise ValueError(f"unknown eta kind {self.kind!r}")
+        if not 0.0 < self.r1 < self.r2 < math.inf:
+            raise ValueError(f"eta support must satisfy 0 < r1 < r2 < inf, "
+                             f"got ({self.r1}, {self.r2})")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"eta exponent must be finite, got {self.exponent}")
+
+    @property
+    def kind(self) -> str:
+        s = self.exponent
+        return "uniform" if s == 0.0 else "reciprocal" if s == -1.0 else "power"
 
     def _power_coeff(self) -> float:
         s = self.exponent
@@ -84,34 +79,17 @@ class EtaFunction:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        if self.kind == "piecewise":
-            for a, b, v in zip(self.breaks, self.breaks[1:], self.levels):
-                out = np.where((r >= a) & (r <= b), v, out)
-        elif self.kind == "reciprocal":
-            inside = (r > self.r1) & (r < self.r2)
-            with np.errstate(divide="ignore"):
-                out = np.where(inside, 1.0 / (np.maximum(r, 1e-300) *
-                                              math.log(self.r2 / self.r1)), 0.0)
-        else:
-            inside = (r > self.r1) & (r < self.r2)
-            out = np.where(inside, self._power_coeff() * r ** self.exponent, 0.0)
-        return out
+        inside = (r > self.r1) & (r < self.r2)
+        # r^s only inside the support, where r > 0
+        return np.where(inside, self._power_coeff() * np.where(inside, r, 1.0)
+                        ** self.exponent, 0.0)
 
     def integral(self, a: float | None = None, b: float | None = None) -> float:
         """Exact integral over (a, b) intersected with the support."""
-        a = self.r1 if a is None else a
-        b = self.r2 if b is None else b
-        if self.kind == "piecewise":
-            total = 0.0
-            for lo, hi, v in zip(self.breaks, self.breaks[1:], self.levels):
-                total += v * max(0.0, min(hi, b) - max(lo, a))
-            return total
-        lo, hi = max(a, self.r1), min(b, self.r2)
+        lo = self.r1 if a is None else max(a, self.r1)
+        hi = self.r2 if b is None else min(b, self.r2)
         if hi <= lo:
             return 0.0
-        if self.kind == "reciprocal":
-            return math.log(hi / lo) / math.log(self.r2 / self.r1)
         s = self.exponent
         c = self._power_coeff()
         if s == -1.0:
@@ -119,33 +97,25 @@ class EtaFunction:
         return c * (hi ** (s + 1.0) - lo ** (s + 1.0)) / (s + 1.0)
 
     def describe(self) -> str:
-        if self.kind == "piecewise":
-            return f"piecewise[{len(self.levels)}] on ({self.r1:g},{self.r2:g})"
-        if self.kind == "reciprocal":
-            return f"1/(r log(r2/r1)) on ({self.r1:g},{self.r2:g})"
-        return f"power(s={self.exponent:g}) on ({self.r1:g},{self.r2:g})"
+        name = {"uniform": "uniform", "reciprocal": "1/(r log(r2/r1))"}.get(
+            self.kind, f"power(s={self.exponent:g})")
+        return f"{name} on ({self.r1:g},{self.r2:g})"
 
 
 def uniform_eta(r1: float, r2: float) -> EtaFunction:
-    """The constant 1/(r2 - r1) on [r1, r2], zero outside; integral exactly 1."""
-    if r1 >= r2:
-        raise ValueError("uniform eta requires r1 < r2")
-    return EtaFunction("piecewise", r1, r2, breaks=(r1, r2), levels=(1.0 / (r2 - r1),))
+    return EtaFunction(r1, r2, 0.0)
 
 
 def reciprocal_eta(r1: float, r2: float) -> EtaFunction:
-    return EtaFunction("reciprocal", r1, r2)
+    return EtaFunction(r1, r2, -1.0)
 
 
 def power_eta(r1: float, r2: float, exponent: float = 1.0) -> EtaFunction:
-    return EtaFunction("power", r1, r2, exponent=exponent)
+    return EtaFunction(r1, r2, exponent)
 
 
 def admissible_check(eta: EtaFunction, r1: float, r2: float) -> tuple[bool, float]:
-    """Integrate eta over (r1, r2); admissible when the integral reaches 1.
-
-    Exact for piecewise-constant representations; closed form otherwise.
-    """
+    """Integrate eta over (r1, r2); admissible when the integral reaches 1."""
     value = eta.integral(r1, r2)
     return value >= 1.0 - 1e-12, value
 
@@ -345,9 +315,9 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     clipped to [-1, 1], a ball's share is the arc fraction arccos(cos) / pi
     (n = 2) or the cap fraction (1 - cos) / 2 (n = 3), and r < R for d = 0; an
     exterior's is 1 minus that.  Gauss-Legendre in log r runs on each piece
-    between phi's kinks |R - d| and R + d and every eta's breakpoints and
-    support ends; in 2-D with d > 0, where the arc share has square-root kinks,
-    each piece is integrated in u with log r = t0 + (t1 - t0)(3u^2 - 2u^3).
+    between phi's kinks |R - d| and R + d and every eta's support ends; in
+    2-D with d > 0, where the arc share has square-root kinks, each piece is
+    integrated in u with log r = t0 + (t1 - t0)(3u^2 - 2u^3).
     Every eta must be admissible for the ring: its integral over
     (r_inner, r_outer) reaches 1.
     """
@@ -365,7 +335,7 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
         shape, center, R = image
         d = float(np.linalg.norm(ring.center_array() - np.asarray(center, dtype=float)))
         kinks = [abs(R - d), R + d]
-    ends = [x for eta in etas for x in (eta.r1, eta.r2, *eta.breaks)]
+    ends = [x for eta in etas for x in (eta.r1, eta.r2)]
     edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
     # Gauss-Legendre in t = log r, where dr = r dt
     t0, t1 = edges[:-1, None], edges[1:, None]

@@ -70,14 +70,12 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
 
 def _lifted_modulus(f: MappingSpec, y0, r1: float, r2: float, resolution: int,
                     count: int, tol: float, budget: int) -> ModulusResult:
-    """Discrete modulus of the lifted ring family on a grid matched to it about the puncture."""
+    """Discrete modulus of the lifted ring family on a grid centred on its bounding box."""
     family = lifted_ring_family(f, y0, r1, r2, count)
-    c = f.center_array()
-    radii = np.linalg.norm(np.concatenate([curve.vertices for curve in family]) - c, axis=1)
-    rmin, rmax = float(radii.min()), float(radii.max())
-    if rmin <= 0 or rmin >= rmax:
-        raise ValueError("degenerate lifted family geometry")
-    grid = ring_grid(SphericalRing(tuple(c), rmin, rmax), resolution, len(family))
+    pts = np.concatenate([curve.vertices for curve in family])
+    mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    R = float(np.linalg.norm(pts - mid, axis=1).max())
+    grid = ring_grid(SphericalRing(tuple(mid), R / 2, R), resolution, len(family))
     return discrete_modulus(family, grid, p=float(f.dim), tol=tol, budget=budget)
 
 
@@ -131,6 +129,8 @@ def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
     etas = default_etas(r1, r2) if etas is None else list(etas)
+    if not etas:
+        raise ValueError("need at least one eta")
     y0 = tuple(np.asarray(y0, dtype=float).ravel())
     shape, R = image_ball(f)
     q = weight_Q(f).value

@@ -219,6 +219,37 @@ def test_random_config_loads_or_names_a_key(tmp_path, edits):
         assert exc.field in ROW_NAMES + ["config"], str(exc)
 
 
+FAMILY_CONFIG = """
+[scenario]
+kind = discrete_modulus
+family_file = {family}
+[mapping]
+kind = identity
+dim = {dim}
+[solver]
+resolution = 16
+[output]
+out_dir = {out}
+"""
+
+# the off-centre Moebius check: the inversion keeps the 2-modulus and Q = 1,
+# so the extremal eta makes the inequality an equality
+MOEBIUS_CONFIG = """
+[scenario]
+kind = poletski
+[mapping]
+kind = inversion
+[geometry]
+y0 = 3, 0
+r1 = 0.2
+r2 = 0.8
+[solver]
+curve_count = 256
+[output]
+out_dir = {out}
+"""
+
+
 class TestRun:
     def test_poletski_run_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -325,6 +356,43 @@ out_dir = {out}
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 3
         assert report["config"]["resolution"] == 48
+
+    def test_family_file_scenario(self, tmp_path):
+        out = tmp_path / "out"
+        family = tmp_path / "family.txt"
+        family.write_text("# label: sides\n0,0.25;1,0.25\n0,0.75;1,0.75\n")
+        cfg = write_config(tmp_path / "c.ini",
+                           FAMILY_CONFIG.format(family=family, dim=2, out=out))
+        assert cli.run(cfg) == 0
+        rec = json.loads((out / "report.json").read_text())["results"][0]
+        assert rec["family"] == "sides" and rec["lhs"] > 0.0
+
+    @pytest.mark.parametrize("text, dim", [
+        ("", 2),
+        (None, 2),
+        ("0,0;1,zero\n", 2),
+        ("0,0;1\n", 2),
+        ("0,0;1,0\n0,1;1,1\n", 3),
+    ], ids=["empty", "missing", "unparsable", "ragged", "dim-mismatch"])
+    def test_family_file_errors_named(self, tmp_path, capsys, text, dim):
+        out = tmp_path / "out"
+        family = tmp_path / "family.txt"
+        if text is not None:
+            family.write_text(text)
+        cfg = write_config(tmp_path / "c.ini",
+                           FAMILY_CONFIG.format(family=family, dim=dim, out=out))
+        assert cli.run(cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: scenario.family_file:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_off_centre_moebius_check_holds(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path / "c.ini", MOEBIUS_CONFIG.format(out=out))) == 0
+        rec = json.loads((out / "report.json").read_text())["results"][0]
+        assert rec["satisfied"] and rec["lhs"] == pytest.approx(2 * np.pi / np.log(4),
+                                                                rel=0.025)
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

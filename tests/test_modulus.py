@@ -1,6 +1,7 @@
 """Analytic ring modulus, admissible functions, and the discrete solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ class TestEta:
         assert eta_e(2.0) == pytest.approx(0.5819767068693265, abs=1e-12)
 
     def test_zero_eta_inadmissible(self):
-        eta = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.0,))
+        # supported on (3, 4), so it vanishes on all of (1, 2)
+        eta = uniform_eta(3.0, 4.0)
         ok, integral = admissible_check(eta, 1.0, 2.0)
         assert not ok and integral == 0.0
 
@@ -81,8 +83,33 @@ class TestEta:
             assert ok and abs(integral - 1.0) <= 1e-15
 
     def test_negative_levels_rejected(self):
-        with pytest.raises(ValueError):
-            EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(-1.0,))
+        # c r^s is negative only on a reversed support; that and every other
+        # support outside 0 < r1 < r2 < inf, or an exponent that is not
+        # finite, is rejected with the bad value named
+        for r1, r2, exponent, named in [
+                (2.0, 1.0, 0.0, "(2.0, 1.0)"),
+                (0.0, 1.0, -1.0, "(0.0, 1.0)"),      # log(r2/r1) divides by zero
+                (-1.0, 1.0, 0.5, "(-1.0, 1.0)"),     # r^1.5 of r < 0 is complex
+                (1.0, math.inf, 0.0, "(1.0, inf)"),
+                (math.nan, 1.0, 0.0, "(nan, 1.0)"),
+                (1.0, 2.0, math.nan, "got nan"),
+                (1.0, 2.0, -math.inf, "got -inf")]:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                EtaFunction(r1, r2, exponent)
+
+    def test_kind_reads_the_exponent(self):
+        assert [e.kind for e in default_etas(1.0, 2.0)] == ["uniform", "reciprocal", "power"]
+        assert [e.describe() for e in default_etas(1.0, 2.0)] == [
+            "uniform on (1,2)", "1/(r log(r2/r1)) on (1,2)", "power(s=1) on (1,2)"]
+        assert power_eta(1.0, 2.0, 0.0) == uniform_eta(1.0, 2.0)
+
+    def test_no_warning_outside_the_support(self):
+        # r^s is taken only inside (r1, r2); r = 0 with s < 0 would warn
+        eta = power_eta(0.5, 2.0, -1.5)
+        r = np.array([-1.0, 0.0, 0.25, 1.0, 3.0])
+        values = eta(r)
+        assert values[[0, 1, 2, 4]].tolist() == [0.0] * 4
+        assert values[3] == eta._power_coeff()
 
 
 def ball_share(dim: int, d: float, R: float, r: float) -> float:
@@ -192,18 +219,18 @@ class TestWeightedRhsIntegral:
     def test_piecewise_breakpoint_shared(self):
         ring, image = self.straddling(2)
         r1, r2, b = self.STRADDLE_R1, self.STRADDLE_R2, 0.37  # b: a partial share
-        step = EtaFunction("piecewise", r1, r2, breaks=(r1, b, r2),
-                           levels=(0.5 / (b - r1), 0.5 / (r2 - b)))
-        etas = [step, *default_etas(r1, r2)]
+        etas = [uniform_eta(r1, b), power_eta(b, r2, -0.5), *default_etas(r1, r2)]
         together = weighted_rhs_integral(etas, ring, image)
         for eta, value in zip(etas, together):
             alone, = weighted_rhs_integral([eta], ring, image)
-            # the step eta keeps its pieces; the others are also cut at b, which
-            # moves them within the rule's accuracy on a partial share
+            # the support end b is a breakpoint of every eta's pieces, which
+            # moves the ones that run across it within the rule's accuracy
             assert value == pytest.approx(alone, rel=1e-14)
 
     def test_inadmissible_eta_rejected(self):
-        bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.5,))
+        # c r on (0.5, 2) has integral (4 - 1) / (4 - 0.25) = 0.8 over (1, 2)
+        bad = power_eta(0.5, 2.0, 1.0)
+        assert bad.integral(1.0, 2.0) == pytest.approx(0.8, rel=1e-15)
         with pytest.raises(ValueError):
             weighted_rhs_integral([bad], self.RING)
 

@@ -34,13 +34,17 @@ def test_readme_names_are_package_attributes():
     assert sorted(name for name in named if not hasattr(modlab, name)) == []
 
 
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench(monkeypatch, "tracing")
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
@@ -59,58 +63,34 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(module, attr) is original for module, attr, original in patched)
 
 
-POLETSKI_INI = """
-[scenario]
-kind = poletski
-[mapping]
-kind = winding
-k = 2
-center = 0, 0
-epsilon0 = 0.5
-dim = 2
-[geometry]
-y0 = 0, 0
-r1 = 0.1
-r2 = 0.4
-[solver]
-resolution = 32
-curve_count = 16
-[output]
-out_dir = {out}
-"""
-
-
 def test_benchmark_tracer_counts_every_layer(monkeypatch, tmp_path):
-    # a traced pass reaches every layer and its counters read what the
-    # program did, so a change of signature or call site shows up here
-    from modlab import cli
-    from modlab.curves import Curve, CurveFamily, GridSpec
-
+    # one traced pass of both benchmark workloads at seed 0, as perfbench/run.py
+    # runs it: every operation's own check passes, the pass reaches every layer
+    # and the counters read what the program did, so a change of signature or
+    # call site shows up here
     tracing = load_tracing(monkeypatch)
-    ini = tmp_path / "poletski.ini"
-    ini.write_text(POLETSKI_INI.format(out=tmp_path / "out"))
-    sides = CurveFamily([Curve([[0.0, y], [1.0, y]]) for y in (0.25, 0.75)], "sides")
-    operations = [
-        ("poletski", lambda: cli.main(["run", str(ini)]) == 0),
-        ("rectangle", lambda: modlab.discrete_modulus(
-            sides, GridSpec((0.0, 0.0), (1.0, 1.0), (8, 8)), p=2.0).value > 0.0),
-    ]
+    workloads = load_perfbench(monkeypatch, "workloads")
+    ops = [op for name in workloads.WORKLOADS
+           for op in workloads.build(name, 0, tmp_path / name)]
     tracer = tracing.Tracer()
     tracer.install()
+    outputs = []
     try:
-        for name, run in operations:
-            tracer.begin_op(name)
+        for op in ops:
+            tracer.begin_op(op.name)
             start = time.perf_counter()
-            ok = run()
-            tracer.end_op(start, time.perf_counter())
-            assert ok, name
+            outputs.append(op.run())
+            tracer.end_op(start, time.perf_counter(), op.out_dir)
     finally:
         tracer.uninstall()
+    failures = [(op.name, op.check(out)) for op, out in zip(ops, outputs)]
+    assert [f for f in failures if f[1] is not None] == []
     summary = tracer.summary()
     assert [layer for layer in tracing.LAYERS if summary[f"{layer}.calls"] < 1] == []
     assert summary["modulus.solve.dual_evals"] == sum(s["iterations"] for s in tracer.solves)
     assert summary["curves.assemble.nnz"] > 0
-    # coverage can fail on a host pause; every other self-test line is a fault
+    # coverage can fail on a host pause or a cold first call, which run.py
+    # warms up before it traces; every other self-test line is a fault
     assert [e for e in tracer.self_test() if "spans cover" not in e] == []
 
 

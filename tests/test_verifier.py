@@ -10,7 +10,7 @@ from modlab.geometry import SphericalRing
 from modlab.mappings import (COMPLETED, HIT_OUTER_SPHERE, identity, inversion,
                              lift_curve, multiplicity, preimages, radial_stretch,
                              winding, with_domain)
-from modlab.modulus import reciprocal_eta, uniform_eta
+from modlab.modulus import reciprocal_eta, ring_modulus_analytic, uniform_eta
 from modlab.verifier import (LIFT_VERTEX_BUDGET, lifted_ring_family, continuity_bound,
                              weight_bound_check, verify_poletski)
 
@@ -97,7 +97,7 @@ class TestVerifyPoletski:
         rep = verify_poletski(identity(epsilon0=3.0), [0.0, 0.0], 1.0, 2.0,
                               resolution=96, count=64)
         by_kind = dict((e.kind, v) for e, v in rep.rhs_per_eta)
-        assert by_kind["piecewise"] >= by_kind["reciprocal"] - 1e-9
+        assert by_kind["uniform"] >= by_kind["reciprocal"] - 1e-9
 
     def test_monotone_in_eta_list(self):
         f = identity(epsilon0=3.0)
@@ -108,18 +108,26 @@ class TestVerifyPoletski:
         assert small.satisfied and large.satisfied
         assert large.slack <= small.slack + 1e-9
 
-    def test_inadmissible_eta_rejected(self, monkeypatch):
+    @staticmethod
+    def no_lift(monkeypatch):
         from modlab import verifier
-        from modlab.modulus import EtaFunction
 
         def no_lift(*args, **kwargs):
-            pytest.fail("an inadmissible eta must be rejected before any lift")
+            pytest.fail("a bad eta list must be rejected before any lift")
 
         monkeypatch.setattr(verifier, "lifted_ring_family", no_lift)
-        bad = EtaFunction("piecewise", 1.0, 2.0, breaks=(1.0, 2.0), levels=(0.3,))
+
+    def test_inadmissible_eta_rejected(self, monkeypatch):
+        self.no_lift(monkeypatch)
+        # admissible on (0.5, 3), but only 0.4 of it lies in (1, 2)
         with pytest.raises(ValueError, match="inadmissible"):
             verify_poletski(identity(epsilon0=3.0), [0.0, 0.0], 1.0, 2.0,
-                            etas=[bad])
+                            etas=[uniform_eta(0.5, 3.0)])
+
+    def test_empty_eta_list_rejected(self, monkeypatch):
+        self.no_lift(monkeypatch)
+        with pytest.raises(ValueError, match="at least one eta"):
+            verify_poletski(identity(epsilon0=3.0), [0.0, 0.0], 1.0, 2.0, etas=[])
 
     def test_invariant_under_similarity(self):
         # the 12 acceptance-suite configs with the domain scaled by 2 and moved
@@ -142,6 +150,18 @@ class TestVerifyPoletski:
                 assert image.lhs.iterations == base.lhs.iterations, case
                 for (_, a), (_, b) in zip(image.rhs_per_eta, base.rhs_per_eta):
                     assert a == pytest.approx(b, rel=4e-15), case
+
+    def test_off_centre_moebius_oracle(self):
+        # the inversion is a Moebius map with Q = 1: it keeps the 2-modulus,
+        # so the lifted family's modulus is the image ring's for every ring
+        # inside its image |y| > 2, wherever the ring is centred
+        for y0, r1, r2 in [((3.0, 0.0), 0.2, 0.8), ((3.5, 0.0), 0.3, 1.2),
+                           ((2.0, 2.0), 0.2, 0.8), ((0.0, -3.0), 0.1, 0.9),
+                           ((0.0, 4.0), 0.3, 1.2)]:
+            rep = verify_poletski(inversion(), y0, r1, r2, resolution=128, count=256)
+            exact = ring_modulus_analytic(2, r1, r2)
+            assert rep.satisfied, y0
+            assert rep.lhs.value == pytest.approx(exact, rel=0.025), y0
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
