@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -55,9 +56,6 @@ class Curve:
     def length(self) -> float:
         return float(self.segment_lengths().sum())
 
-    def start(self) -> np.ndarray:
-        return self.vertices[0]
-
     def __repr__(self):
         return f"Curve({self.n_vertices} vertices, dim={self.dim}, length={self.length():.4g})"
 
@@ -70,9 +68,37 @@ class CurveFamily:
     label: str = ""
 
     def __post_init__(self):
-        dims = {c.dim for c in self.curves}
+        dims = {c.vertices.shape[1] for c in self.curves}
         if len(dims) > 1:
             raise ValueError("all curves in a family must share one dimension")
+
+    @classmethod
+    def from_arrays(cls, vertices, sizes, label: str = "") -> "CurveFamily":
+        """The family of consecutive runs of `sizes` vertices, validated as one array.
+
+        The checks and messages are Curve's; the join between two curves may
+        repeat a vertex.  The curves are read-only views of one array.
+        """
+        v = np.array(vertices, dtype=float)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if v.ndim != 2 or sizes.sum() != len(v):
+            raise ValueError("curve sizes must add up to the rows of a vertex array")
+        if np.any(sizes < 2):
+            raise ValueError("a curve needs at least two vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("curve vertices must be finite")
+        ends = np.cumsum(sizes)
+        zero = np.linalg.norm(np.diff(v, axis=0), axis=1) == 0.0
+        zero[ends[:-1] - 1] = False  # the joins between curves
+        if np.any(zero):
+            raise ValueError("consecutive curve vertices must be distinct")
+        v.setflags(write=False)
+        curves = []
+        for a, b in zip((ends - sizes).tolist(), ends.tolist()):
+            curve = Curve.__new__(Curve)
+            curve.vertices = v[a:b]
+            curves.append(curve)
+        return cls(curves, label)
 
     @property
     def dim(self) -> int:
@@ -117,9 +143,11 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def spacing(self) -> np.ndarray:
-        return (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.shape)
+        h = (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.shape)
+        h.setflags(write=False)
+        return h
 
     @property
     def cell_volume(self) -> float:
@@ -163,10 +191,6 @@ class GridDensity:
         self.values = v
 
     @staticmethod
-    def uniform(spec: GridSpec, value: float) -> "GridDensity":
-        return GridDensity(spec, np.full(spec.shape, float(value)))
-
-    @staticmethod
     def zeros(spec: GridSpec) -> "GridDensity":
         return GridDensity(spec, np.zeros(spec.shape))
 
@@ -178,30 +202,27 @@ def curve_cell_lengths(spec: GridSpec, gamma: Curve):
     """Length of gamma inside each grid cell it visits, as (flat indices, lengths).
 
     This is the sparse constraint row of the discrete modulus problem.  Every
-    segment is cut at the grid planes it crosses, all segments in one array
-    pass (Amanatides-Woo traversal), and the pieces are summed per cell.
+    segment is cut at the grid planes it crosses, all segments and axes in one
+    array pass (Amanatides-Woo traversal), and the pieces are summed per cell.
     """
     v = gamma.vertices
     if not np.all(spec.contains(v)):
         raise ValueError("curve exits the grid bounds")
     a, d = v[:-1], np.diff(v, axis=0)
     length = np.sqrt(row_dot(d, d))
-    lo, h = np.asarray(spec.lo), spec.spacing
-    segs = np.arange(len(d))
-    seg_parts, t_parts = [segs.repeat(2)], [np.tile([0.0, 1.0], len(d))]
-    for k in range(spec.dim):
-        c0 = (a[:, k] - lo[k]) / h[k]
-        c1 = (v[1:, k] - lo[k]) / h[k]
-        jlo = np.ceil(np.minimum(c0, c1))
-        hits = np.maximum(np.floor(np.maximum(c0, c1)) - jlo + 1.0, 0.0).astype(np.int64)
-        hits[d[:, k] == 0.0] = 0  # a segment parallel to the planes crosses none
-        seg = segs.repeat(hits)
-        j = jlo[seg] + (np.arange(len(seg)) - (np.cumsum(hits) - hits).repeat(hits))
-        t = (lo[k] + j * h[k] - a[seg, k]) / d[seg, k]
-        inside = (t > 0.0) & (t < 1.0)
-        seg_parts.append(seg[inside])
-        t_parts.append(t[inside])
-    seg, ts = np.concatenate(seg_parts), np.concatenate(t_parts)
+    lo, h, n = np.asarray(spec.lo), spec.spacing, spec.dim
+    c = (v - lo) / h
+    jlo = np.ceil(np.minimum(c[:-1], c[1:]))
+    hits = np.maximum(np.floor(np.maximum(c[:-1], c[1:])) - jlo + 1.0, 0.0).astype(np.int64)
+    hits[d == 0.0] = 0  # a segment parallel to an axis's planes crosses none of them
+    hits = hits.ravel()
+    hit = np.arange(len(hits)).repeat(hits)  # segment * n + axis of every plane hit
+    seg, k = np.divmod(hit, n)
+    j = jlo.ravel()[hit] + (np.arange(len(hit)) - (np.cumsum(hits) - hits).repeat(hits))
+    t = (lo[k] + j * h[k] - a[seg, k]) / d[seg, k]
+    inside = (t > 0.0) & (t < 1.0)
+    seg = np.concatenate([np.arange(len(d)).repeat(2), seg[inside]])
+    ts = np.concatenate([np.tile([0.0, 1.0], len(d)), t[inside]])
     order = np.lexsort((ts, seg))
     seg, ts = seg[order], ts[order]
     dt = ts[1:] - ts[:-1]
@@ -211,9 +232,8 @@ def curve_cell_lengths(spec: GridSpec, gamma: Curve):
     mids = a[seg] + (0.5 * (ts[:-1] + ts[1:]))[keep][:, None] * d[seg]
     lens = dt[keep] * length[seg]
     uniq, inv = np.unique(spec.cell_index(mids), return_inverse=True)
-    acc = np.zeros(len(uniq))
-    np.add.at(acc, inv, lens)
-    return uniq, acc
+    # bincount adds from zero in input order, as np.add.at does
+    return uniq, np.bincount(inv, lens, len(uniq))
 
 
 def line_integral(rho: GridDensity, gamma: Curve) -> float:
@@ -333,13 +353,16 @@ def _directions(dim: int, count: int) -> np.ndarray:
     raise ValueError("curve generation supports dimensions 2 and 3 only")
 
 
-def _perpendicular(u: np.ndarray) -> np.ndarray:
-    if len(u) == 2:
-        return np.array([-u[1], u[0]])
+def _perpendiculars(u: np.ndarray) -> np.ndarray:
+    """A unit vector perpendicular to each row of u (rows of a 2-D or 3-D array)."""
+    if u.shape[1] == 2:
+        return np.stack([-u[:, 1], u[:, 0]], axis=1)
+    # the unit vector on the axis where |u| is least, less its component along u
+    rows, near = np.arange(len(u)), np.argmin(np.abs(u), axis=1)
     trial = np.zeros_like(u)
-    trial[int(np.argmin(np.abs(u)))] = 1.0
-    v = trial - (trial @ u) * u
-    return v / np.linalg.norm(v)
+    trial[rows, near] = 1.0
+    v = trial - u[rows, near][:, None] * u
+    return v / np.sqrt(row_dot(v, v))[:, None]
 
 
 def generate_ring_family(ring: SphericalRing, count: int, kind: str = "radial",
@@ -355,23 +378,18 @@ def generate_ring_family(ring: SphericalRing, count: int, kind: str = "radial",
     if count < 1:
         raise ValueError("count must be >= 1")
     c = ring.center_array()
-    dirs = _directions(ring.dim, count)
-    curves = []
+    u = _directions(ring.dim, count)[:, None, :]
     if kind == "radial":
-        for u in dirs:
-            curves.append(Curve([c + ring.r_inner * u, c + ring.r_outer * u]))
+        pts = c + np.array([ring.r_inner, ring.r_outer])[:, None] * u
     elif kind == "spiral":
         total_angle = math.log(ring.r_outer / ring.r_inner) / pitch
-        th = np.linspace(0.0, total_angle, vertex_budget)
+        th = np.linspace(0.0, total_angle, vertex_budget)[:, None]
         rad = ring.r_inner * np.exp(pitch * th)
-        for u in dirs:
-            v = _perpendicular(u)
-            pts = c + rad[:, None] * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v)
-            curves.append(Curve(pts))
+        pts = c + rad * (np.cos(th) * u + np.sin(th) * _perpendiculars(u[:, 0])[:, None, :])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     label = f"{kind}({count}) joining spheres r={ring.r_inner:g},{ring.r_outer:g}"
-    return CurveFamily(curves, label)
+    return CurveFamily.from_arrays(pts.reshape(-1, ring.dim), np.full(count, pts.shape[1]), label)
 
 
 # ---------------------------------------------------------------------------

@@ -323,13 +323,14 @@ def preimages(f: MappingSpec, y) -> list[np.ndarray]:
 
 
 def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
-               starts: np.ndarray) -> list[tuple[Curve, str]]:
+               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lift the image curves image[owner] from starts, all lifts one vertex at a time.
 
     A lift continues along the nearest preimage branch and stops once it
     leaves the closure of the punctured ball: at the puncture or its image
     (HIT_PUNCTURE), or past the bounding sphere (HIT_OUTER_SPHERE).  The
-    lowest failing lift raises, naming its image curve and vertex.
+    lowest failing lift raises, naming its image curve and vertex.  Returns the
+    lifts' vertices end to end, each lift's vertex count and each lift's status.
     """
     c = f.center_array()
     lifted = np.full((len(owner),) + image.shape[1:], np.nan)
@@ -368,8 +369,7 @@ def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
         j = min(bad)
         raise failed[j] if j in failed else DomainError(
             f"image curve {owner[j]}: lift collapsed to a single point")
-    pieces = np.split(lifted[keep], np.cumsum(sizes)[:-1])
-    return [(Curve(pts), s) for pts, s in zip(pieces, status)]
+    return lifted[keep], sizes, status
 
 
 def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
@@ -383,7 +383,8 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
     first = image_curve.vertices[0]
     if np.linalg.norm(evaluate(f, start) - first) > START_TOL * max(1.0, float(np.linalg.norm(first))):
         raise ValueError("start point does not map to the first image vertex")
-    return _lift_many(f, image_curve.vertices[None], np.array([0]), start[None])[0]
+    lifted, _, status = _lift_many(f, image_curve.vertices[None], np.array([0]), start[None])
+    return Curve(lifted), status[0]
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,8 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpe
     else:
         raise ValueError("ring grids support dimensions 2 and 3 only")
     half = max(r2 * (1.0 + 2.0 / resolution), spacing * resolution / 2.0)
-    c = ring.center_array() - half / resolution
-    return GridSpec(tuple(c - half), tuple(c + half), (resolution,) * n)
+    c = [x - half / resolution for x in ring.center]
+    return GridSpec(tuple(x - half for x in c), tuple(x + half for x in c), (resolution,) * n)
 
 
 def family_grid(family: CurveFamily, resolution: int) -> GridSpec:

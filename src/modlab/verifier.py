@@ -59,13 +59,13 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     missing = np.flatnonzero(~inside.any(axis=1))
     stop = missing[0] if missing.size else len(image)
     owner, branch = np.nonzero(inside[:stop])
-    lifted = [lift for lift, _ in _lift_many(f, image, owner, starts[owner, branch])]
+    lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch])
     if missing.size:
         raise DomainError(f"image curve {stop}: initial point has no preimage "
                           f"inside the punctured ball")
     label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
-             f"through {f.describe()} ({len(lifted)} curves)")
-    return CurveFamily(lifted, label)
+             f"through {f.describe()} ({len(sizes)} curves)")
+    return CurveFamily.from_arrays(lifted, sizes, label)
 
 
 def _lifted_modulus(f: MappingSpec, y0, r1: float, r2: float, resolution: int,

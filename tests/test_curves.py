@@ -1,16 +1,20 @@
 """Curves, families, grid densities, line integrals, and ring crossings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from modlab.curves import (Curve, CurveFamily, GridDensity, GridSpec,
-                           NoCrossing, crossing_subcurve,
+                           NoCrossing, _directions, crossing_subcurve,
                            curve_cell_lengths, generate_ring_family,
                            line_integral, load_family, minorizes,
                            save_family)
 from modlab.geometry import SphericalRing
+from modlab.mappings import winding
+from modlab.modulus import family_grid
+from modlab.verifier import LIFT_VERTEX_BUDGET, lifted_ring_family
 
 
 def brute_force_crossing(curve: Curve, ring: SphericalRing, n_scan=200_000):
@@ -66,6 +70,28 @@ def reference_cell_lengths(spec: GridSpec, gamma: Curve):
     return uniq, acc
 
 
+def reference_ring_family(ring: SphericalRing, count: int, kind: str,
+                          pitch: float = 1.0, vertex_budget: int = 512):
+    """Oracle: the vertices of each generated curve, one direction at a time."""
+    c = ring.center_array()
+    curves = []
+    for u in _directions(ring.dim, count):
+        if kind == "radial":
+            curves.append(np.array([c + ring.r_inner * u, c + ring.r_outer * u]))
+            continue
+        if len(u) == 2:
+            v = np.array([-u[1], u[0]])
+        else:
+            trial = np.zeros_like(u)
+            trial[int(np.argmin(np.abs(u)))] = 1.0
+            v = trial - (trial @ u) * u
+            v = v / np.linalg.norm(v)
+        th = np.linspace(0.0, math.log(ring.r_outer / ring.r_inner) / pitch, vertex_budget)
+        rad = ring.r_inner * np.exp(pitch * th)
+        curves.append(c + rad[:, None] * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
+    return curves
+
+
 class TestCurveBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,11 +120,53 @@ class TestCurveBasics:
             assert np.allclose(a.vertices, b.vertices, atol=0, rtol=0)
 
 
+class TestFamilyFromArrays:
+    """A family cut from one vertex array is validated once, with Curve's checks."""
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 0.0]],
+        [[0.0, 0.0], [math.nan, 1.0]],
+        [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]],
+    ])
+    def test_bad_curve_raises_curves_error(self, bad):
+        with pytest.raises(ValueError) as expected:
+            Curve(bad)
+        good = [[5.0, 5.0], [6.0, 5.0]]
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            CurveFamily.from_arrays(good + bad, [2, len(bad)])
+
+    def test_sizes_must_cover_the_vertices(self):
+        with pytest.raises(ValueError, match="add up"):
+            CurveFamily.from_arrays([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [2])
+
+    def test_join_may_repeat_a_vertex(self):
+        fam = CurveFamily.from_arrays([[0, 0], [1, 0], [1, 0], [1, 1]], [2, 2], "joined")
+        assert fam.label == "joined"
+        assert [c.vertices.tolist() for c in fam] == [[[0, 0], [1, 0]], [[1, 0], [1, 1]]]
+
+    def test_curves_are_read_only(self):
+        fam = CurveFamily.from_arrays([[0, 0], [1, 0], [1, 0], [1, 1]], [2, 2])
+        with pytest.raises(ValueError):
+            fam.curves[1].vertices[0, 0] = 2.0
+
+    def test_iteration_builds_no_curves(self):
+        # the curves are built once, with the family; iterating only reads them
+        fam = generate_ring_family(SphericalRing((0.0, 0.0), 1.0, 2.0), 8, "spiral")
+        first = list(fam)
+        assert all(a is b for a, b in zip(first, fam, strict=True))
+
+    def test_mixed_dimensions_rejected(self):
+        flat = CurveFamily.from_arrays([[0, 0], [1, 0]], [2])
+        solid = CurveFamily.from_arrays([[0, 0, 0], [1, 0, 0]], [2])
+        with pytest.raises(ValueError, match="one dimension"):
+            CurveFamily(list(flat) + list(solid))
+
+
 class TestLineIntegral:
     GRID = GridSpec((-0.5, -0.5), (3.5, 0.5), (64, 16))
 
     def test_unit_density_gives_length(self):
-        rho = GridDensity.uniform(self.GRID, 1.0)
+        rho = GridDensity(self.GRID, np.ones(self.GRID.shape))
         seg = Curve([[0.0, 0.0], [3.0, 0.0]])
         assert line_integral(rho, seg) == pytest.approx(3.0, abs=1e-12)
 
@@ -134,7 +202,7 @@ class TestLineIntegral:
             line_integral(GridDensity(spec, v2), curve)
 
     def test_curve_outside_bounds(self):
-        rho = GridDensity.uniform(self.GRID, 1.0)
+        rho = GridDensity(self.GRID, np.ones(self.GRID.shape))
         with pytest.raises(ValueError):
             line_integral(rho, Curve([[0.0, 0.0], [10.0, 0.0]]))
 
@@ -178,6 +246,17 @@ class TestCellLengthsAgainstReference:
         rng = np.random.default_rng(spec.n_cells)
         for n_vertices in [2] * 40 + list(range(3, 33)):
             curve = self._polyline(rng, spec, n_vertices)
+            idx, lens = curve_cell_lengths(spec, curve)
+            ref_idx, ref_lens = reference_cell_lengths(spec, curve)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(lens, ref_lens)
+
+    def test_lifted_family(self):
+        fam = lifted_ring_family(winding(3), (0.0, 0.0), 0.1, 0.4, 16)
+        assert len(fam) == 48
+        assert {c.n_vertices for c in fam} == {LIFT_VERTEX_BUDGET}
+        spec = family_grid(fam, 64)
+        for curve in fam:
             idx, lens = curve_cell_lengths(spec, curve)
             ref_idx, ref_lens = reference_cell_lengths(spec, curve)
             assert np.array_equal(idx, ref_idx)
@@ -319,7 +398,7 @@ class TestMinorizes:
 class TestGenerateRingFamily:
     def test_four_radial_directions(self):
         fam = generate_ring_family(SphericalRing((0.0, 0.0), 1.0, 2.0), 4)
-        starts = np.array([c.start() for c in fam])
+        starts = np.array([c.vertices[0] for c in fam])
         expected = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
         assert np.allclose(starts, expected, atol=1e-12)
 
@@ -345,7 +424,7 @@ class TestGenerateRingFamily:
     def test_three_dimensional_directions(self):
         ring = SphericalRing((0.0, 0.0, 0.0), 1.0, 2.0)
         fam = generate_ring_family(ring, 64)
-        starts = np.array([c.start() for c in fam])
+        starts = np.array([c.vertices[0] for c in fam])
         assert np.allclose(np.linalg.norm(starts, axis=1), 1.0, atol=1e-12)
         # equidistribution: mean direction near zero
         assert np.linalg.norm(starts.mean(axis=0)) < 0.1
@@ -353,3 +432,13 @@ class TestGenerateRingFamily:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             generate_ring_family(SphericalRing((0.0, 0.0), 1.0, 2.0), 0)
+
+    @pytest.mark.parametrize("kind", ["radial", "spiral"])
+    @pytest.mark.parametrize("center", [(0.37, -1.25), (0.3, -0.7, 1.9)])
+    def test_matches_per_direction_construction(self, kind, center):
+        ring = SphericalRing(center, 0.4, 1.7)
+        fam = generate_ring_family(ring, 37, kind, pitch=0.5, vertex_budget=33)
+        ref = reference_ring_family(ring, 37, kind, pitch=0.5, vertex_budget=33)
+        assert len(fam) == len(ref)
+        for curve, vertices in zip(fam, ref):
+            assert np.array_equal(curve.vertices, vertices)

@@ -20,6 +20,18 @@ from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
 from modlab.verifier import default_etas
 
 
+def reference_ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpec:
+    """Oracle: ring_grid's box computed on numpy arrays."""
+    r2 = ring.r_outer
+    if ring.dim == 2:
+        spacing = 2.0 * math.pi * r2 / family_size
+    else:
+        spacing = math.sqrt(4.0 * math.pi * r2 * r2 / family_size)
+    half = max(r2 * (1.0 + 2.0 / resolution), spacing * resolution / 2.0)
+    c = ring.center_array() - half / resolution
+    return GridSpec(tuple(c - half), tuple(c + half), (resolution,) * ring.dim)
+
+
 class TestAnalyticFormulas:
     def test_sphere_areas(self):
         assert unit_sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
@@ -285,6 +297,18 @@ class TestDiscreteModulus:
             sub = CurveFamily([Curve(p) for p in pts[:rng.integers(1, len(pts))]], "A")
             lower = discrete_modulus(sub, grid, p=2.0, tol=1e-3).lower_bound
             assert lower <= discrete_modulus(full, grid, p=2.0, tol=1e-3).value
+
+    def test_ring_grid_matches_array_formula(self):
+        rng = np.random.default_rng(21)
+        for dim in (2, 3):
+            for center in [(0.0,) * dim, tuple(rng.uniform(-5.0, 5.0, dim))]:
+                r1 = rng.uniform(0.01, 2.0)
+                ring = SphericalRing(center, r1, r1 * rng.uniform(1.1, 20.0))
+                for resolution, family_size in [(24, 64), (128, 256), (256, 48), (7, 5000)]:
+                    grid = ring_grid(ring, resolution, family_size)
+                    ref = reference_ring_grid(ring, resolution, family_size)
+                    assert (grid.lo, grid.hi, grid.shape) == (ref.lo, ref.hi, ref.shape)
+                    assert np.array_equal(grid.spacing, ref.spacing)
 
     def test_conformal_invariance_under_scaling(self):
         # a similarity of the ring carries ring_grid's cells along with it, so

@@ -63,6 +63,11 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(module, attr) is original for module, attr, original in patched)
 
 
+PASS_COUNTS = {"curves.assemble.calls": 3836, "curves.assemble.segments": 102_784,
+               "curves.assemble.nnz": 211_810, "mappings.lift.vertices": 101_244,
+               "modulus.solve.dual_evals": 140, "modulus.solve.active": 3708}
+
+
 def test_benchmark_tracer_counts_every_layer(monkeypatch, tmp_path):
     # one traced pass of both benchmark workloads at seed 0, as perfbench/run.py
     # runs it: every operation's own check passes, the pass reaches every layer
@@ -89,6 +94,9 @@ def test_benchmark_tracer_counts_every_layer(monkeypatch, tmp_path):
     assert [layer for layer in tracing.LAYERS if summary[f"{layer}.calls"] < 1] == []
     assert summary["modulus.solve.dual_evals"] == sum(s["iterations"] for s in tracer.solves)
     assert summary["curves.assemble.nnz"] > 0
+    # one pass at seed 0 does this much work; a change to the family, lift,
+    # row or solve layers that alters it shows up here
+    assert {key: summary[key] for key in PASS_COUNTS} == PASS_COUNTS
     # coverage can fail on a host pause or a cold first call, which run.py
     # warms up before it traces; every other self-test line is a fault
     assert [e for e in tracer.self_test() if "spans cover" not in e] == []
