@@ -289,8 +289,7 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
         rec.update(parameter=cfg.eps1_star, lhs=report.lhs, rhs=report.bound,
                    slack=report.bound - report.lhs)
     elif cfg.kind == "continuity":
-        report = continuity_bound(f, cfg.center, cfg.r0, cfg.sample_count,
-                                  seed=cfg.seed)
+        report = continuity_bound(f, cfg.r0, cfg.sample_count, seed=cfg.seed)
         finite = math.isfinite(report.estimated_Cn)
         rec.update(report.to_dict(), violation=not finite)
         rec.update(parameter=cfg.sample_count, lhs=report.estimated_Cn,
@@ -303,8 +302,7 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
         rec.update(parameter=cfg.separation, lhs=value, rhs="", slack="")
     elif cfg.kind == "cluster_set":
         radii = [cfg.epsilon0 * 0.5 ** j for j in range(3, 10)]
-        reps = cluster_set_estimate(f, cfg.center, radii,
-                                    samples_per_radius=cfg.sample_count // 2 or 32)
+        reps = cluster_set_estimate(f, radii, samples_per_radius=cfg.sample_count // 2 or 32)
         rec.update(cluster_points=[(list(p.coords) if not p.is_infinity else "infinity")
                                    for p in reps])
         rec.update(parameter=len(reps), lhs=len(reps), rhs="", slack="")
@@ -323,12 +321,11 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
         rec = dict(rec)
         density = rec.pop("_density", None) or density
         clean.append(rec)
-    echo = {k: v for k, v in asdict(cfg).items() if not k.startswith("_")}
     report = {
         "tool": "modlab",
         "version": __version__,
         "seed": cfg.seed,
-        "config": echo,
+        "config": asdict(cfg),
         **outcome,
         "results": clean,
         "wall_clock_seconds": time.time() - started,

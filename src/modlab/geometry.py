@@ -60,15 +60,11 @@ class ExtendedPoint:
 PointLike = Union[ExtendedPoint, Sequence[float], np.ndarray]
 
 
-def as_point(x: PointLike, dim: int | None = None) -> ExtendedPoint:
-    """Coerce an array-like or ExtendedPoint; validate dimension if given."""
+def as_point(x: PointLike) -> ExtendedPoint:
+    """Coerce an array-like or ExtendedPoint."""
     if isinstance(x, ExtendedPoint):
-        p = x
-    else:
-        p = ExtendedPoint.of(np.asarray(x, dtype=float).ravel())
-    if dim is not None and p.dim != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {p.dim}")
-    return p
+        return x
+    return ExtendedPoint.of(np.asarray(x, dtype=float).ravel())
 
 
 def chordal_distance(x: PointLike, y: PointLike) -> float:

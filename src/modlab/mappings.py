@@ -11,7 +11,7 @@ sampling used by the inequality scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ AMBIGUITY_TOL = 1e-6
 START_TOL = 1e-9
 # Chordal distance below which cluster-set images join one cluster.
 CLUSTER_THRESHOLD = 0.05
+# Step of the central-difference Jacobian.
+FD_STEP = 1e-4
 
 COMPLETED = "completed"
 HIT_PUNCTURE = "hit_puncture"
@@ -174,58 +176,52 @@ def derivative_matrix(f: MappingSpec, x) -> np.ndarray:
     return _derivative_rel(f, p - f.center_array())
 
 
-def finite_difference_derivative(f: MappingSpec, x, step: float = 1e-4) -> np.ndarray:
-    """Central-difference Jacobian with the given step."""
+def finite_difference_derivative(f: MappingSpec, x) -> np.ndarray:
+    """Central-difference Jacobian with step FD_STEP along each axis."""
     p = np.asarray(x, dtype=float).ravel()
     cols = []
     for i in range(f.dim):
         e = np.zeros(f.dim)
-        e[i] = step
-        cols.append((evaluate(f, p + e) - evaluate(f, p - e)) / (2.0 * step))
+        e[i] = FD_STEP
+        cols.append((evaluate(f, p + e) - evaluate(f, p - e)) / (2.0 * FD_STEP))
     return np.stack(cols, axis=1)
 
 
 @dataclass
 class DistortionReport:
-    """Operator norm, Jacobian determinant, and outer distortion at a point."""
+    """Operator norm, Jacobian determinant, and outer distortion of a derivative."""
 
-    point: tuple[float, ...]
     operator_norm: float
     jacobian_det: float
     K_O: float
     degenerate_case: str | None
-    mode: str
 
 
-def distortion_from_matrix(M: np.ndarray, n: int | None = None,
-                           point: Sequence[float] = (), mode: str = "matrix") -> DistortionReport:
-    """Distortion data of a derivative matrix, honoring the degenerate conventions.
+def distortion_from_matrix(M: np.ndarray) -> DistortionReport:
+    """Distortion data of an n x n derivative matrix, honoring the degenerate conventions.
 
     K_O = ||M||^n / |det M|; by convention K_O = 1 when M = 0, and K_O = inf
     when M != 0 but det M = 0.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0] if n is None else n
     op = float(np.linalg.svd(M, compute_uv=False)[0])
     det = float(np.linalg.det(M))
     if op == 0.0:
-        return DistortionReport(tuple(point), 0.0, 0.0, 1.0, "zero_derivative", mode)
+        return DistortionReport(0.0, 0.0, 1.0, "zero_derivative")
     if det == 0.0:
-        return DistortionReport(tuple(point), op, 0.0, math.inf, "vanishing_jacobian", mode)
-    return DistortionReport(tuple(point), op, det, op ** n / abs(det), None, mode)
+        return DistortionReport(op, 0.0, math.inf, "vanishing_jacobian")
+    return DistortionReport(op, det, op ** M.shape[0] / abs(det), None)
 
 
-def distortion_at(f: MappingSpec, x, mode: str = "analytic",
-                  fd_step: float = 1e-4) -> DistortionReport:
+def distortion_at(f: MappingSpec, x, mode: str = "analytic") -> DistortionReport:
     """Distortion report at a point, from exact or central-difference derivatives."""
-    p = np.asarray(x, dtype=float).ravel()
     if mode == "analytic":
-        M = derivative_matrix(f, p)
+        M = derivative_matrix(f, x)
     elif mode == "finite_difference":
-        M = finite_difference_derivative(f, p, fd_step)
+        M = finite_difference_derivative(f, x)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return distortion_from_matrix(M, f.dim, point=tuple(p), mode=mode)
+    return distortion_from_matrix(M)
 
 
 def multiplicity(f: MappingSpec) -> int:
@@ -410,16 +406,16 @@ def _components(adjacency: np.ndarray) -> tuple[int, np.ndarray]:
     return len(roots), labels
 
 
-def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
+def cluster_set_estimate(f: MappingSpec, sample_radii: Sequence[float],
                          samples_per_radius: int = 64) -> list[ExtendedPoint]:
-    """Representative limit points of f along spheres shrinking to the puncture.
+    """Representative limit points of f along spheres shrinking to the puncture f.center.
 
     Images on the two smallest sample spheres are clustered by single linkage in
     the chordal metric at CLUSTER_THRESHOLD; each cluster is reported by its
     medoid, snapped to the point at infinity when the medoid is within the
     threshold of it.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = f.center_array()
     radii = sorted(float(r) for r in sample_radii)
     if not radii or radii[0] <= 0 or radii[-1] >= f.epsilon0:
         raise ValueError("sample radii must decrease to 0 inside the punctured ball")
@@ -447,8 +443,3 @@ def cluster_set_estimate(f: MappingSpec, x0, sample_radii: Sequence[float],
         if all(chordal_distance(r, u) >= CLUSTER_THRESHOLD for u in unique):
             unique.append(r)
     return unique
-
-
-def with_domain(f: MappingSpec, center: Sequence[float], epsilon0: float) -> MappingSpec:
-    """The same zoo member re-rooted at a new punctured ball."""
-    return replace(f, center=tuple(float(v) for v in center), epsilon0=float(epsilon0))

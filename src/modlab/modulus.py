@@ -262,7 +262,8 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpe
     """Square grid about a ring, sized so cells match the curve spacing.
 
     A family of `family_size` curves equidistributed over directions is spaced
-    2 pi r_outer / family_size apart (n = 2) at the outer sphere.  Cells finer
+    2 pi r_outer / family_size apart (n = 2), or sqrt(4 pi r_outer^2 /
+    family_size) apart (n = 3), at the outer sphere.  Cells finer
     than that spacing let the minimizing density collapse onto per-curve tubes
     and undershoot badly, so the box half-width is grown (never below the ring
     itself) until the cell size equals that spacing.  The box is shifted half a
@@ -314,12 +315,11 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
     image.  With d = |y0 - center| and cos = (r^2 + d^2 - R^2) / (2 r d)
     clipped to [-1, 1], a ball's share is the arc fraction arccos(cos) / pi
     (n = 2) or the cap fraction (1 - cos) / 2 (n = 3), and r < R for d = 0; an
-    exterior's is 1 minus that.  Gauss-Legendre in log r runs on each piece
-    between phi's kinks |R - d| and R + d and every eta's support ends; in
-    2-D with d > 0, where the arc share has square-root kinks, each piece is
-    integrated in u with log r = t0 + (t1 - t0)(3u^2 - 2u^3).
-    Every eta must be admissible for the ring: its integral over
-    (r_inner, r_outer) reaches 1.
+    exterior's is 1 minus that.  The ring is cut at phi's kinks |R - d| and
+    R + d and at every eta's support ends, and each piece (t0, t1) in log r is
+    integrated by Gauss-Legendre in u on [0, 1] with
+    log r = t0 + (t1 - t0)(3u^2 - 2u^3).  Every eta must be admissible for the
+    ring: its integral over (r_inner, r_outer) reaches 1.
     """
     n = ring.dim
     lo, hi = ring.r_inner, ring.r_outer
@@ -337,18 +337,13 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
         kinks = [abs(R - d), R + d]
     ends = [x for eta in etas for x in (eta.r1, eta.r2)]
     edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
-    # Gauss-Legendre in t = log r, where dr = r dt
+    # Gauss-Legendre in u for t = log r, where dr = r dt.  The 2-D arc share
+    # goes like sqrt(|t - t_k|) at a kink t_k; the map is flat at both ends of
+    # the piece, which makes the integrand smooth in u
     t0, t1 = edges[:-1, None], edges[1:, None]
-    if n == 2 and image is not None and d > 0.0:
-        # the arc share goes like sqrt(|t - t_k|) at a kink t_k; the map is
-        # flat at both ends of the piece, which makes the integrand smooth in u
-        u = 0.5 * (1.0 + _GL_NODES)
-        t = t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u)
-        weights = 3.0 * (t1 - t0) * u * (1.0 - u) * _GL_WEIGHTS
-    else:
-        half = 0.5 * (t1 - t0)
-        t = t0 + half * (1.0 + _GL_NODES)
-        weights = half * _GL_WEIGHTS
+    u = 0.5 * (1.0 + _GL_NODES)
+    t = t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u)
+    weights = 3.0 * (t1 - t0) * u * (1.0 - u) * _GL_WEIGHTS
     r = np.exp(t).ravel()
     weights = weights.ravel()
     phi = np.ones_like(r)

@@ -17,7 +17,7 @@ import numpy as np
 from .curves import CurveFamily
 from .geometry import SphericalRing, row_dot
 from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
-                       evaluate_many, image_ball, weight_Q, with_domain)
+                       evaluate_many, image_ball, weight_Q)
 from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
 from .modulus import (EtaFunction, ModulusResult, discrete_modulus, power_eta,
                       reciprocal_eta, ring_grid, uniform_eta, weighted_rhs_integral)
@@ -216,27 +216,26 @@ class ContinuityReport:
         }
 
 
-def continuity_bound(f: MappingSpec, x0, r0: float, sample_count: int = 200,
+def continuity_bound(f: MappingSpec, r0: float, sample_count: int = 200,
                      seed: int = 0, directions: np.ndarray | None = None) -> ContinuityReport:
     """Empirical constant in |f(x) - f(x0)| <= C ||Q||_1^(1/n) / log^(1/n)(1 + r0/|x - x0|).
 
-    Samples log-uniformly in |x - x0| down to 1e-6 r0 (the largest radius is
-    always included), extends f to the puncture by its limit there, and reports
-    the supremum of lhs over the bound factor.  Radii and the rotation of the
-    sample directions do not affect the zoo's radially symmetric members.
+    x0 is the puncture f.center.  Samples log-uniformly in |x - x0| down to
+    1e-6 r0 (the largest radius is always included), extends f to the puncture
+    by its limit there, x0 itself, and reports the supremum of lhs over the
+    bound factor.  Radii and the rotation of the sample directions do not
+    affect the zoo's radially symmetric members.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    g = with_domain(f, x0, f.epsilon0)
-    if not (0 < 2.0 * r0 < g.epsilon0):
+    if not (0 < 2.0 * r0 < f.epsilon0):
         raise ValueError("need 0 < 2 r0 < distance from the puncture to the boundary")
-    shape, _ = image_ball(g)
+    shape, _ = image_ball(f)
     if shape != "ball":
         raise ValueError("the weight is not integrable over an unbounded image")
-    wq = weight_Q(g)
+    wq = weight_Q(f)
     if not math.isfinite(wq.l1_norm) or wq.l1_norm <= 0:
         raise ValueError("the weight is not integrable over the image")
-    n = g.dim
-    f_at_puncture = x0  # every bounded-image zoo member extends by its center
+    n = f.dim
+    x0 = f.center_array()  # every bounded-image zoo member extends by its center
 
     radii = np.geomspace(1e-6 * r0, r0, sample_count)
     if directions is None:
@@ -249,13 +248,13 @@ def continuity_bound(f: MappingSpec, x0, r0: float, sample_count: int = 200,
             raise ValueError("directions must be one unit vector per sample")
 
     pts = x0 + radii[:, None] * directions
-    images = evaluate_many(g, pts)
-    lhs = np.linalg.norm(images - f_at_puncture, axis=1)
+    images = evaluate_many(f, pts)
+    lhs = np.linalg.norm(images - x0, axis=1)
     log_factor = np.log1p(r0 / radii) ** (1.0 / n)
     rhs_factor = wq.l1_norm ** (1.0 / n) / log_factor
     ratios = lhs / rhs_factor
     estimated = float(ratios.max())
     samples = [(float(r), float(l), float(g_)) for r, l, g_ in
                zip(radii, lhs, rhs_factor)]
-    return ContinuityReport(g.describe(), tuple(x0), r0, samples, estimated,
+    return ContinuityReport(f.describe(), f.center, r0, samples, estimated,
                             wq.l1_norm)

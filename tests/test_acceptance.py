@@ -137,8 +137,8 @@ def test_criterion_7_continuity_bound():
     for name, f in [("identity", ml.identity(epsilon0=1.0)),
                     ("winding k=3", ml.winding(3, epsilon0=1.0)),
                     ("stretch a=2", ml.radial_stretch(2.0, epsilon0=1.0))]:
-        a = ml.continuity_bound(f, [0.0, 0.0], 0.25, 200)
-        b = ml.continuity_bound(f, [0.0, 0.0], 0.25, 400)
+        a = ml.continuity_bound(f, 0.25, 200)
+        b = ml.continuity_bound(f, 0.25, 400)
         if not math.isfinite(a.estimated_Cn):
             failures.append(f"{name}: constant not finite")
             continue
@@ -149,8 +149,8 @@ def test_criterion_7_continuity_bound():
         dirs = rng.standard_normal((200, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        c1 = ml.continuity_bound(f, [0.0, 0.0], 0.25, 200, directions=dirs)
-        c2 = ml.continuity_bound(f, [0.0, 0.0], 0.25, 200, directions=dirs @ rot.T)
+        c1 = ml.continuity_bound(f, 0.25, 200, directions=dirs)
+        c2 = ml.continuity_bound(f, 0.25, 200, directions=dirs @ rot.T)
         if abs(c1.estimated_Cn - c2.estimated_Cn) > 1e-10:
             failures.append(f"{name}: not rotation invariant")
     report("criterion 7 (continuity constant)", not failures,
@@ -203,7 +203,7 @@ def test_criterion_9_distortion_oracles():
             th = rng.uniform(0.0, TWO_PI)
             x = [r * math.cos(th), r * math.sin(th)]
             exact = ml.distortion_at(f, x, "analytic")
-            fd = ml.distortion_at(f, x, "finite_difference", fd_step=1e-4)
+            fd = ml.distortion_at(f, x, "finite_difference")
             worst_exact = max(worst_exact, abs(exact.K_O - expected) / expected)
             worst_fd = max(worst_fd, abs(fd.K_O - exact.K_O) / exact.K_O)
     report("criterion 9 (distortion oracles)",

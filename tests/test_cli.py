@@ -348,6 +348,28 @@ out_dir = {out}
         report = json.loads((out / "report.json").read_text())
         assert report["results"][0]["cluster_points"] == ["infinity"]
 
+    @pytest.mark.parametrize("kind", ["continuity", "cluster_set"])
+    def test_puncture_off_the_origin(self, tmp_path, kind):
+        # both scenarios sample about mapping.center, the puncture
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", f"""
+[scenario]
+kind = {kind}
+[mapping]
+kind = winding
+k = 3
+center = 0.3, -0.2
+epsilon0 = 1.0
+[output]
+out_dir = {out}
+""")
+        assert cli.run(cfg) == 0
+        rec = json.loads((out / "report.json").read_text())["results"][0]
+        if kind == "continuity":
+            assert rec["x0"] == [0.3, -0.2]
+        else:
+            assert np.allclose(rec["cluster_points"], [[0.3, -0.2]], atol=0.05)
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "other"
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=tmp_path / "ignored"))

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from modlab.curves import Curve
-from modlab.geometry import chordal_distance
+from modlab.geometry import ExtendedPoint, chordal_distance
 from modlab.mappings import (DomainError, LiftingAmbiguity, MappingSpec,
                              _components, _preimages_rel, cluster_set_estimate,
                              derivative_matrix, distortion_at,
@@ -107,6 +107,15 @@ class TestDistortion:
         regular = distortion_from_matrix(np.eye(2))
         assert regular.degenerate_case is None
 
+    def test_matrix_in_three_dimensions(self):
+        # K_O = ||M||^n / |det M| with n read from the matrix
+        M = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 0.5]])
+        rep = distortion_from_matrix(M)
+        op = np.linalg.norm(M, 2)
+        assert rep.operator_norm == pytest.approx(op, rel=1e-14, abs=0.0)
+        assert rep.K_O == pytest.approx(op ** 3 / abs(np.linalg.det(M)), rel=1e-14, abs=0.0)
+        assert rep.degenerate_case is None
+
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(2)
         for f in ZOO:
@@ -115,7 +124,7 @@ class TestDistortion:
                 th = rng.uniform(0.0, 2 * math.pi)
                 x = [r * math.cos(th), r * math.sin(th)]
                 exact = distortion_at(f, x, "analytic")
-                approx = distortion_at(f, x, "finite_difference", fd_step=1e-4)
+                approx = distortion_at(f, x, "finite_difference")
                 assert approx.operator_norm == pytest.approx(
                     exact.operator_norm, rel=1e-5)
                 assert approx.jacobian_det == pytest.approx(
@@ -304,29 +313,37 @@ class TestClusterSet:
     RADII = [0.05, 0.02, 0.01, 0.005]
 
     def test_identity_clusters_at_center(self):
-        reps = cluster_set_estimate(identity(), [0.0, 0.0], self.RADII)
+        reps = cluster_set_estimate(identity(), self.RADII)
         assert len(reps) == 1
         assert chordal_distance(reps[0], [0.0, 0.0]) < 0.05
 
     def test_winding_clusters_at_center(self):
-        reps = cluster_set_estimate(winding(3), [0.0, 0.0], self.RADII)
+        reps = cluster_set_estimate(winding(3), self.RADII)
         assert len(reps) == 1
         assert chordal_distance(reps[0], [0.0, 0.0]) < 0.05
 
     def test_inversion_clusters_at_infinity(self):
-        reps = cluster_set_estimate(inversion(), [0.0, 0.0], self.RADII)
+        reps = cluster_set_estimate(inversion(), self.RADII)
         assert len(reps) == 1
         assert reps[0].is_infinity
 
     def test_translated_puncture(self):
         f = radial_stretch(2.0, center=(1.0, -1.0))
-        reps = cluster_set_estimate(f, [1.0, -1.0], self.RADII)
+        reps = cluster_set_estimate(f, self.RADII)
         assert len(reps) == 1
         assert chordal_distance(reps[0], [1.0, -1.0]) < 0.05
 
+    @pytest.mark.parametrize("center", [(0.3, -0.2), (-2.0, 1.5)])
+    def test_spheres_surround_the_center(self, center):
+        infinity = [ExtendedPoint.infinity(2)]
+        assert cluster_set_estimate(inversion(center=center), self.RADII) == infinity
+        reps = cluster_set_estimate(winding(3, center=center), self.RADII)
+        assert len(reps) == 1
+        assert chordal_distance(reps[0], center) < 0.05
+
     def test_radii_validation(self):
         with pytest.raises(ValueError):
-            cluster_set_estimate(identity(), [0.0, 0.0], [0.9])
+            cluster_set_estimate(identity(), [0.9])
 
 
 def random_graph(seed, n, density):

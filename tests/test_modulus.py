@@ -168,6 +168,24 @@ class TestWeightedRhsIntegral:
         assert value == pytest.approx(ring_modulus_analytic(dim, r1, r2), rel=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("ratio", [4.0, math.e, 10.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, 1.0],
+                             ids=["uniform", "reciprocal", "power"])
+    def test_concentric_closed_forms(self, dim, ratio, exponent):
+        # eta = c r^s on (1, ratio) gives |S^(n-1)| c^n (r2^k - r1^k) / k with
+        # k = n (s + 1), and the ring modulus at s = -1
+        r1, r2 = 1.0, ratio
+        eta = EtaFunction(r1, r2, exponent)
+        if exponent == -1.0:
+            exact = ring_modulus_analytic(dim, r1, r2)
+        else:
+            s1 = exponent + 1.0
+            c, k = s1 / (r2 ** s1 - r1 ** s1), dim * s1
+            exact = unit_sphere_area(dim) * c ** dim * (r2 ** k - r1 ** k) / k
+        value, = weighted_rhs_integral([eta], SphericalRing((0.0,) * dim, r1, r2))
+        assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["uniform", "reciprocal"])
     def test_concentric_ring_straddles_mask(self, dim, kind):
         # the image of radial_stretch(2) is the ball of radius 0.5^2 = 0.25,

@@ -3,6 +3,7 @@ every name the benchmark's tracer wraps is still there, and importing the
 package pulls in numpy only."""
 
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -32,6 +33,25 @@ def test_readme_names_are_package_attributes():
     assert {"discrete_modulus", "power_eta", "cluster_set_estimate",
             "SphericalRing", "verify_poletski"} <= named
     assert sorted(name for name in named if not hasattr(modlab, name)) == []
+
+
+def test_readme_entry_point_arguments_are_parameters():
+    # a parameter deleted from a function must leave the README's table too
+    table = README.split("Key entry points:", 1)[1].split("\n\n", 2)[1]
+    stale = []
+    for row in table.splitlines()[2:]:
+        call = re.fullmatch(r"(\w+)\((.*)\)", row.split("`")[1])
+        if call:
+            params = inspect.signature(getattr(modlab, call[1])).parameters
+            stale += [(call[1], arg) for arg in re.findall(r"\w+", call[2])
+                      if arg not in params]
+    assert stale == []
+
+
+def test_readme_quickstart_runs(capsys):
+    quickstart = README.split("## Library quickstart", 1)[1].split("```", 2)[1]
+    exec(quickstart.removeprefix("python\n"), {})
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True")
 
 
 def load_perfbench(monkeypatch, name):

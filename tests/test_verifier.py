@@ -1,6 +1,7 @@
 """Scenario orchestration: lifted families, inequality checks, continuity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from modlab.curves import Curve, generate_ring_family
 from modlab.geometry import SphericalRing
 from modlab.mappings import (COMPLETED, HIT_OUTER_SPHERE, identity, inversion,
                              lift_curve, multiplicity, preimages, radial_stretch,
-                             winding, with_domain)
+                             winding)
 from modlab.modulus import reciprocal_eta, ring_modulus_analytic, uniform_eta
 from modlab.verifier import (LIFT_VERTEX_BUDGET, lifted_ring_family, continuity_bound,
                              weight_bound_check, verify_poletski)
@@ -140,7 +141,7 @@ class TestVerifyPoletski:
                (radial_stretch(3.0), (0.01, 0.08), (0.002, 0.05))]
         c = (0.7, -0.2)
         for f, *rings in zoo:
-            moved, s = with_domain(f, c, 2.0 * f.epsilon0), 2.0 ** f.power
+            moved, s = replace(f, center=c, epsilon0=2.0 * f.epsilon0), 2.0 ** f.power
             count = max(48, 256 // multiplicity(f))
             for r1, r2 in rings:
                 base = verify_poletski(f, (0.0, 0.0), r1, r2, 64, count=count)
@@ -200,7 +201,7 @@ class TestProofWeightBoundReport:
 
 class TestContinuityBound:
     def test_identity_closed_form(self):
-        rep = continuity_bound(identity(epsilon0=1.0), [0.0, 0.0], 0.25, 200)
+        rep = continuity_bound(identity(epsilon0=1.0), 0.25, 200)
         # the supremum sits at the largest sampled radius r0
         expected = 0.25 * math.sqrt(math.log(2.0)) / math.sqrt(math.pi)
         assert rep.estimated_Cn == pytest.approx(expected, rel=1e-9)
@@ -210,7 +211,7 @@ class TestContinuityBound:
                                            rel=1e-9)
 
     def test_bound_factor_vanishes_at_puncture(self):
-        rep = continuity_bound(identity(epsilon0=1.0), [0.0, 0.0], 0.25, 100)
+        rep = continuity_bound(identity(epsilon0=1.0), 0.25, 100)
         smallest = min(rep.samples, key=lambda s: s[0])
         largest = max(rep.samples, key=lambda s: s[0])
         assert smallest[2] < 0.25 * largest[2]
@@ -224,20 +225,28 @@ class TestContinuityBound:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         th = 0.7
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        a = continuity_bound(f, [0.0, 0.0], 0.25, n, directions=dirs)
-        b = continuity_bound(f, [0.0, 0.0], 0.25, n, directions=dirs @ rot.T)
+        a = continuity_bound(f, 0.25, n, directions=dirs)
+        b = continuity_bound(f, 0.25, n, directions=dirs @ rot.T)
         assert abs(a.estimated_Cn - b.estimated_Cn) <= 1e-10
 
     def test_stability_under_doubling(self):
         f = winding(3, epsilon0=1.0)
-        a = continuity_bound(f, [0.0, 0.0], 0.2, 200)
-        b = continuity_bound(f, [0.0, 0.0], 0.2, 400)
+        a = continuity_bound(f, 0.2, 200)
+        b = continuity_bound(f, 0.2, 400)
         assert abs(a.estimated_Cn - b.estimated_Cn) / a.estimated_Cn <= 0.05
+
+    def test_puncture_is_the_mapping_center(self):
+        # the samples surround f.center, so moving the puncture moves nothing else
+        c = (0.3, -0.2)
+        moved = continuity_bound(radial_stretch(2.0, center=c, epsilon0=1.0), 0.25, 200)
+        base = continuity_bound(radial_stretch(2.0, epsilon0=1.0), 0.25, 200)
+        assert moved.x0 == c
+        assert moved.estimated_Cn == pytest.approx(base.estimated_Cn, rel=1e-12, abs=0.0)
 
     def test_r0_must_fit_in_domain(self):
         with pytest.raises(ValueError):
-            continuity_bound(identity(epsilon0=0.5), [0.0, 0.0], 0.3, 50)
+            continuity_bound(identity(epsilon0=0.5), 0.3, 50)
 
     def test_unbounded_image_rejected(self):
         with pytest.raises(ValueError):
-            continuity_bound(inversion(epsilon0=1.0), [0.0, 0.0], 0.25, 50)
+            continuity_bound(inversion(epsilon0=1.0), 0.25, 50)
