@@ -149,6 +149,13 @@ class GridSpec:
         h.setflags(write=False)
         return h
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """lo, hi, the last index per axis and the row-major strides, built once."""
+        strides = [math.prod(self.shape[a + 1:]) for a in range(self.dim)]
+        return (np.asarray(self.lo), np.asarray(self.hi), np.asarray(self.shape) - 1,
+                np.array(strides))
+
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -158,15 +165,24 @@ class GridSpec:
         return int(np.prod(self.shape))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies in the closed box lo <= p <= hi, faces included."""
+        lo, hi, _, _ = self._arrays
         p = np.atleast_2d(points)
-        return np.all((p >= np.asarray(self.lo)) & (p <= np.asarray(self.hi)), axis=1)
+        return np.all((p >= lo) & (p <= hi), axis=1)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat index of the cell containing each point (boundary points clip inward)."""
+        """Row-major flat index of the cell containing each point.
+
+        A point on a grid plane goes to the cell above it, up to the rounding
+        of (p - lo) / spacing; points on the hi face, or outside the box,
+        clamp inward to the nearest cell on each axis.
+        """
+        lo, _, last, strides = self._arrays
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((p - np.asarray(self.lo)) / self.spacing).astype(np.int64)
-        np.clip(idx, 0, np.asarray(self.shape) - 1, out=idx)
-        return np.ravel_multi_index(idx.T, self.shape)
+        idx = np.floor((p - lo) / self.spacing).astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, last, out=idx)
+        return idx @ strides
 
     def cell_center(self, flat_index: np.ndarray) -> np.ndarray:
         """Coordinates of cell centers for flat indices."""
@@ -206,11 +222,11 @@ def curve_cell_lengths(spec: GridSpec, gamma: Curve):
     array pass (Amanatides-Woo traversal), and the pieces are summed per cell.
     """
     v = gamma.vertices
-    if not np.all(spec.contains(v)):
+    if not spec.contains(v).all():
         raise ValueError("curve exits the grid bounds")
-    a, d = v[:-1], np.diff(v, axis=0)
+    a, d = v[:-1], v[1:] - v[:-1]
     length = np.sqrt(row_dot(d, d))
-    lo, h, n = np.asarray(spec.lo), spec.spacing, spec.dim
+    lo, h, n = spec._arrays[0], spec.spacing, spec.dim
     c = (v - lo) / h
     jlo = np.ceil(np.minimum(c[:-1], c[1:]))
     hits = np.maximum(np.floor(np.maximum(c[:-1], c[1:])) - jlo + 1.0, 0.0).astype(np.int64)
@@ -218,22 +234,26 @@ def curve_cell_lengths(spec: GridSpec, gamma: Curve):
     hits = hits.ravel()
     hit = np.arange(len(hits)).repeat(hits)  # segment * n + axis of every plane hit
     seg, k = np.divmod(hit, n)
-    j = jlo.ravel()[hit] + (np.arange(len(hit)) - (np.cumsum(hits) - hits).repeat(hits))
-    t = (lo[k] + j * h[k] - a[seg, k]) / d[seg, k]
+    j = jlo.ravel()[hit] + (np.arange(len(hit)) - (hits.cumsum() - hits).repeat(hits))
+    t = (lo[k] + j * h[k] - a.take(hit)) / d.take(hit)  # a[seg, k], gathered flat
     inside = (t > 0.0) & (t < 1.0)
-    seg = np.concatenate([np.arange(len(d)).repeat(2), seg[inside]])
-    ts = np.concatenate([np.tile([0.0, 1.0], len(d)), t[inside]])
+    ends = np.arange(2 * len(d))  # each segment's t = 0 and t = 1
+    seg = np.concatenate([ends >> 1, seg[inside]])
+    ts = np.concatenate([ends & 1, t[inside]])
     order = np.lexsort((ts, seg))
     seg, ts = seg[order], ts[order]
     dt = ts[1:] - ts[:-1]
     # drop repeated hits (corner crossings) and ulp-wide slivers from near-corner ones
     keep = (seg[1:] == seg[:-1]) & (dt > 1e-13)
     seg = seg[:-1][keep]
-    mids = a[seg] + (0.5 * (ts[:-1] + ts[1:]))[keep][:, None] * d[seg]
+    mids = a.take(seg, 0) + (0.5 * (ts[:-1] + ts[1:]))[keep][:, None] * d.take(seg, 0)
     lens = dt[keep] * length[seg]
-    uniq, inv = np.unique(spec.cell_index(mids), return_inverse=True)
+    # np.unique(cells, return_inverse=True) without its wrapper: sort, flag, search
+    cells = spec.cell_index(mids)
+    uniq = np.sort(cells)
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     # bincount adds from zero in input order, as np.add.at does
-    return uniq, np.bincount(inv, lens, len(uniq))
+    return uniq, np.bincount(uniq.searchsorted(cells), lens, len(uniq))
 
 
 def line_integral(rho: GridDensity, gamma: Curve) -> float:

@@ -12,8 +12,8 @@ from modlab.curves import (Curve, CurveFamily, GridDensity, GridSpec,
                            line_integral, load_family, minorizes,
                            save_family)
 from modlab.geometry import SphericalRing
-from modlab.mappings import winding
-from modlab.modulus import family_grid
+from modlab.mappings import radial_stretch, winding
+from modlab.modulus import family_grid, ring_grid
 from modlab.verifier import LIFT_VERTEX_BUDGET, lifted_ring_family
 
 
@@ -41,9 +41,22 @@ def brute_force_crossing(curve: Curve, ring: SphericalRing, n_scan=200_000):
     return None
 
 
+def reference_box(spec: GridSpec):
+    """Oracle: the grid's lo corner, spacing and shape, as arrays built here."""
+    lo, shape = np.asarray(spec.lo), np.asarray(spec.shape)
+    return lo, (np.asarray(spec.hi) - lo) / shape, shape
+
+
+def reference_cell_index(spec: GridSpec, points: np.ndarray) -> np.ndarray:
+    """Oracle: floor, np.clip to shape - 1 and np.ravel_multi_index."""
+    lo, h, shape = reference_box(spec)
+    idx = np.floor((points - lo) / h).astype(np.int64)
+    return np.ravel_multi_index(np.clip(idx, 0, shape - 1).T, spec.shape)
+
+
 def reference_cell_lengths(spec: GridSpec, gamma: Curve):
     """Oracle: the per-segment row arithmetic, one segment at a time."""
-    lo, h = np.asarray(spec.lo), spec.spacing
+    lo, h, _ = reference_box(spec)
     idx_parts, len_parts = [], []
     for a, b in zip(gamma.vertices[:-1], gamma.vertices[1:]):
         d = b - a
@@ -62,7 +75,7 @@ def reference_cell_lengths(spec: GridSpec, gamma: Curve):
         dt = ts[1:] - ts[:-1]
         keep = dt > 1e-13
         mids = a[None, :] + 0.5 * (ts[:-1] + ts[1:])[keep][:, None] * d[None, :]
-        idx_parts.append(spec.cell_index(mids))
+        idx_parts.append(reference_cell_index(spec, mids))
         len_parts.append(dt[keep] * length)
     uniq, inv = np.unique(np.concatenate(idx_parts), return_inverse=True)
     acc = np.zeros(len(uniq))
@@ -213,6 +226,39 @@ class TestLineIntegral:
         assert lens.sum() == pytest.approx(curve.length(), abs=1e-12)
 
 
+# square and non-square grids in 2-D and 3-D; the non-square shapes catch a
+# flat index that mixes up the axes' strides
+ROW_GRIDS = [
+    GridSpec((0.0, 0.0), (1.0, 1.0), (16, 16)),
+    GridSpec((-0.3, 0.2), (0.7, 1.9), (13, 7)),
+    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 8)),
+    GridSpec((-1.0, -0.5, 0.25), (1.0, 0.5, 1.0), (11, 6, 5)),
+]
+
+
+class TestCellIndexAgainstReference:
+    """cell_index is the clip-and-ravel arithmetic, boundary points included."""
+
+    @pytest.mark.parametrize("spec", ROW_GRIDS)
+    def test_points(self, spec):
+        rng = np.random.default_rng(spec.n_cells)
+        lo, h, shape = reference_box(spec)
+        hi = np.asarray(spec.hi)
+        inside = rng.uniform(lo, hi, (500, spec.dim))
+        planes = lo + rng.integers(0, shape + 1, (500, spec.dim)) * h
+        on_plane = np.where(rng.random((500, spec.dim)) < 0.5, planes, inside)
+        faces = np.where(rng.random((500, spec.dim)) < 0.5, lo, hi)
+        on_face = np.where(rng.random((500, spec.dim)) < 0.4, faces, inside)
+        corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(spec.dim, -1).T
+        outside = rng.uniform(lo - (hi - lo), hi + (hi - lo), (500, spec.dim))
+        for points in (inside, planes, on_plane, on_face, corners, outside):
+            idx = spec.cell_index(points)
+            assert idx.dtype == np.int64
+            assert np.array_equal(idx, reference_cell_index(spec, points))
+        # one point as a 1-D array gives a one-element index
+        assert np.array_equal(spec.cell_index(inside[0]), reference_cell_index(spec, inside[:1]))
+
+
 class TestCellLengthsAgainstReference:
     """The array row kernel gives the per-segment rows bit for bit."""
 
@@ -236,12 +282,7 @@ class TestCellLengthsAgainstReference:
             if np.all(np.linalg.norm(np.diff(v, axis=0), axis=1) > 0.0):
                 return Curve(v)
 
-    @pytest.mark.parametrize("spec", [
-        GridSpec((0.0, 0.0), (1.0, 1.0), (16, 16)),
-        GridSpec((-0.3, 0.2), (0.7, 1.9), (13, 7)),
-        GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 8)),
-        GridSpec((-1.0, -0.5, 0.25), (1.0, 0.5, 1.0), (11, 6, 5)),
-    ])
+    @pytest.mark.parametrize("spec", ROW_GRIDS)
     def test_random_polylines(self, spec):
         rng = np.random.default_rng(spec.n_cells)
         for n_vertices in [2] * 40 + list(range(3, 33)):
@@ -261,6 +302,36 @@ class TestCellLengthsAgainstReference:
             ref_idx, ref_lens = reference_cell_lengths(spec, curve)
             assert np.array_equal(idx, ref_idx)
             assert np.array_equal(lens, ref_lens)
+
+    def test_stretch_lift_on_suite_grid(self):
+        # the grid the Poletski check puts on a lifted family: a ring grid about
+        # the family's bounding box, shifted half a cell
+        fam = lifted_ring_family(radial_stretch(3.0), (0.0, 0.0), 0.01, 0.08, 256)
+        pts = np.concatenate([c.vertices for c in fam])
+        mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        R = float(np.linalg.norm(pts - mid, axis=1).max())
+        spec = ring_grid(SphericalRing(tuple(mid), R / 2, R), 128, len(fam))
+        for curve in fam:
+            idx, lens = curve_cell_lengths(spec, curve)
+            ref_idx, ref_lens = reference_cell_lengths(spec, curve)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(lens, ref_lens)
+
+    @pytest.mark.parametrize("spec", ROW_GRIDS)
+    def test_box_is_closed(self, spec):
+        lo, hi = np.asarray(spec.lo), np.asarray(spec.hi)
+        mid = 0.5 * (lo + hi)
+        for curve in (Curve([lo, mid, hi]), Curve([hi, lo]), Curve([mid, hi, lo])):
+            idx, lens = curve_cell_lengths(spec, curve)
+            ref_idx, ref_lens = reference_cell_lengths(spec, curve)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(lens, ref_lens)
+        for axis in range(spec.dim):
+            for end, away in ((hi, math.inf), (lo, -math.inf)):
+                out = end.copy()
+                out[axis] = np.nextafter(end[axis], away)
+                with pytest.raises(ValueError, match="curve exits the grid bounds"):
+                    curve_cell_lengths(spec, Curve([mid, out]))
 
     def test_diagonal_through_corners(self):
         spec = GridSpec((0.0, 0.0), (1.0, 1.0), (10, 10))

@@ -34,11 +34,11 @@ def reference_ring_grid(ring: SphericalRing, resolution: int, family_size: int) 
 
 class TestAnalyticFormulas:
     def test_sphere_areas(self):
-        assert unit_sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
-        assert unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15)
-        assert unit_sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
-        assert unit_sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-15)
-        assert unit_sphere_area(6) == pytest.approx(math.pi ** 3, rel=1e-15)
+        assert unit_sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15, abs=0.0)
+        assert unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-15, abs=0.0)
+        assert unit_sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15, abs=0.0)
+        assert unit_sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-15, abs=0.0)
+        assert unit_sphere_area(6) == pytest.approx(math.pi ** 3, rel=1e-15, abs=0.0)
 
     def test_ring_modulus_values(self):
         assert ring_modulus_analytic(2, 1.0, math.e) == pytest.approx(2 * math.pi)
@@ -255,12 +255,12 @@ class TestWeightedRhsIntegral:
             alone, = weighted_rhs_integral([eta], ring, image)
             # the support end b is a breakpoint of every eta's pieces, which
             # moves the ones that run across it within the rule's accuracy
-            assert value == pytest.approx(alone, rel=1e-14)
+            assert value == pytest.approx(alone, rel=1e-14, abs=0.0)
 
     def test_inadmissible_eta_rejected(self):
         # c r on (0.5, 2) has integral (4 - 1) / (4 - 0.25) = 0.8 over (1, 2)
         bad = power_eta(0.5, 2.0, 1.0)
-        assert bad.integral(1.0, 2.0) == pytest.approx(0.8, rel=1e-15)
+        assert bad.integral(1.0, 2.0) == pytest.approx(0.8, rel=1e-15, abs=0.0)
         with pytest.raises(ValueError):
             weighted_rhs_integral([bad], self.RING)
 
@@ -337,7 +337,7 @@ class TestDiscreteModulus:
         ring2 = SphericalRing((0.7, -0.2), 2.5, 5.0)
         scaled = discrete_modulus(generate_ring_family(ring2, 48), ring_grid(ring2, 128, 48),
                                   p=2.0, tol=1e-3)
-        assert scaled.value == pytest.approx(base.value, rel=1e-13)
+        assert scaled.value == pytest.approx(base.value, rel=1e-13, abs=0.0)
         assert scaled.iterations == base.iterations
 
     def test_invariance_under_quarter_rotation(self):

@@ -150,7 +150,7 @@ class TestVerifyPoletski:
                 assert image.lhs.value == pytest.approx(base.lhs.value, rel=1e-12), case
                 assert image.lhs.iterations == base.lhs.iterations, case
                 for (_, a), (_, b) in zip(image.rhs_per_eta, base.rhs_per_eta):
-                    assert a == pytest.approx(b, rel=4e-15), case
+                    assert a == pytest.approx(b, rel=4e-15, abs=0.0), case
 
     def test_off_centre_moebius_oracle(self):
         # the inversion is a Moebius map with Q = 1: it keeps the 2-modulus,
