@@ -27,7 +27,7 @@ from . import __version__
 from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
 from .mappings import (MAPPING_KINDS, DomainError, LiftingAmbiguity, MappingSpec,
-                       cluster_set_estimate)
+                       cluster_set_estimate, image_ball)
 from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
                       family_grid, ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
@@ -166,6 +166,15 @@ class _Experiment:
                                              f"r1={self.r1} >= r2={self.r2}")
         if not self.eps1 < self.eps1_star:
             raise ConfigError("geometry.eps1", "must be below eps1_star")
+        if self.kind == "continuity" and not 2.0 * self.r0 < self.epsilon0:
+            raise ConfigError("geometry.r0", f"must be below epsilon0 / 2 = "
+                                             f"{self.epsilon0 / 2}, got {self.r0}")
+        if (self.kind in ("continuity", "weight_bound")
+                and image_ball(self.mapping())[0] == "exterior"):
+            raise ConfigError("mapping.kind", f"{self.mapping_kind} has an unbounded image, "
+                                              f"where the weight is not integrable")
+        if self.kind == "blowup" and self.dim != 2:
+            raise ConfigError("mapping.dim", f"the blow-up experiment is planar, got {self.dim}")
 
     def mapping(self) -> MappingSpec:
         return MappingSpec(self.mapping_kind, self.dim, self.k, self.alpha,
@@ -242,19 +251,8 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
     """Execute one scenario; returns a result record with 'violation' flagging."""
     f = cfg.mapping()
     rec: dict = {"scenario": cfg.kind, "violation": False}
-    if cfg.kind == "ring_modulus":
-        ring = SphericalRing(cfg.y0, cfg.r1, cfg.r2)
-        family = generate_ring_family(ring, cfg.curve_count)
-        grid = ring_grid(ring, cfg.resolution, cfg.curve_count)
-        result = discrete_modulus(family, grid, p=float(cfg.dim), tol=cfg.tol,
-                                  budget=cfg.budget)
-        exact = ring_modulus_analytic(cfg.dim, cfg.r1, cfg.r2)
-        rec.update(result=result.to_report(), analytic=exact,
-                   relative_error=(result.value - exact) / exact, _density=result)
-        rec.update(parameter=cfg.r2, lhs=result.value, rhs=exact,
-                   slack=exact - result.value)
-    elif cfg.kind == "discrete_modulus":
-        if cfg.family_file:
+    if cfg.kind in ("ring_modulus", "discrete_modulus"):
+        if cfg.kind == "discrete_modulus" and cfg.family_file:
             try:
                 family = load_family(cfg.family_file)
                 dim = family.dim  # an empty family has none
@@ -270,8 +268,15 @@ def run_scenario(cfg: ExperimentConfig) -> dict:
             grid = ring_grid(ring, cfg.resolution, cfg.curve_count)
         result = discrete_modulus(family, grid, p=float(cfg.dim), tol=cfg.tol,
                                   budget=cfg.budget)
-        rec.update(result=result.to_report(), family=family.label, _density=result)
-        rec.update(parameter=len(family), lhs=result.value, rhs="", slack="")
+        rec.update(result=result.to_report(), _density=result)
+        if cfg.kind == "ring_modulus":
+            exact = ring_modulus_analytic(cfg.dim, cfg.r1, cfg.r2)
+            rec.update(analytic=exact, relative_error=(result.value - exact) / exact,
+                       parameter=cfg.r2, lhs=result.value, rhs=exact,
+                       slack=exact - result.value)
+        else:
+            rec.update(family=family.label, parameter=len(family), lhs=result.value,
+                       rhs="", slack="")
     elif cfg.kind == "poletski":
         report = verify_poletski(f, cfg.y0, cfg.r1, cfg.r2, cfg.resolution,
                                  count=cfg.curve_count, solver_tol=cfg.tol,

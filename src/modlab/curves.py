@@ -25,6 +25,20 @@ class NoCrossing(Exception):
     """Raised when a curve admits no ring-crossing subcurve."""
 
 
+def _polylines(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Curve's checks on v's runs of `sizes` vertices (a join may repeat); v made read-only."""
+    if v.ndim != 2 or (sizes < 2).any():
+        raise ValueError("a curve needs at least two vertices")
+    if not np.isfinite(v).all():
+        raise ValueError("curve vertices must be finite")
+    zero = np.linalg.norm(np.diff(v, axis=0), axis=1) == 0.0
+    zero[sizes[:-1].cumsum() - 1] = False  # the joins between polylines
+    if zero.any():
+        raise ValueError("consecutive curve vertices must be distinct")
+    v.setflags(write=False)
+    return v
+
+
 class Curve:
     """An ordered polyline of finite vertices, parameterized by arc length."""
 
@@ -32,15 +46,7 @@ class Curve:
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValueError("a curve needs at least two vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("curve vertices must be finite")
-        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
-        if np.any(seg == 0.0):
-            raise ValueError("consecutive curve vertices must be distinct")
-        v.setflags(write=False)
-        self.vertices = v
+        self.vertices = _polylines(v, np.array(v.shape[:1]))
 
     @property
     def dim(self) -> int:
@@ -74,31 +80,26 @@ class CurveFamily:
 
     @classmethod
     def from_arrays(cls, vertices, sizes, label: str = "") -> "CurveFamily":
-        """The family of consecutive runs of `sizes` vertices, validated as one array.
-
-        The checks and messages are Curve's; the join between two curves may
-        repeat a vertex.  The curves are read-only views of one array.
-        """
+        """The family of runs of `sizes` vertices: read-only views of one validated array."""
         v = np.array(vertices, dtype=float)
         sizes = np.asarray(sizes, dtype=np.int64)
         if v.ndim != 2 or sizes.sum() != len(v):
             raise ValueError("curve sizes must add up to the rows of a vertex array")
-        if np.any(sizes < 2):
-            raise ValueError("a curve needs at least two vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("curve vertices must be finite")
+        _polylines(v, sizes)
         ends = np.cumsum(sizes)
-        zero = np.linalg.norm(np.diff(v, axis=0), axis=1) == 0.0
-        zero[ends[:-1] - 1] = False  # the joins between curves
-        if np.any(zero):
-            raise ValueError("consecutive curve vertices must be distinct")
-        v.setflags(write=False)
-        curves = []
-        for a, b in zip((ends - sizes).tolist(), ends.tolist()):
-            curve = Curve.__new__(Curve)
+        curves = [Curve.__new__(Curve) for _ in range(len(sizes))]
+        for curve, a, b in zip(curves, (ends - sizes).tolist(), ends.tolist()):
             curve.vertices = v[a:b]
-            curves.append(curve)
-        return cls(curves, label)
+        family = cls(curves, label)
+        family.vertices = v
+        return family
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Every vertex, curve after curve, read-only: from_arrays' array, else joined once."""
+        v = np.concatenate([c.vertices for c in self.curves])
+        v.setflags(write=False)
+        return v
 
     @property
     def dim(self) -> int:
@@ -427,17 +428,18 @@ def save_family(family: CurveFamily, path) -> None:
 
 
 def load_family(path) -> CurveFamily:
-    curves = []
-    label = ""
+    """Read a family written by save_family, validated as one vertex array."""
+    lines, label = [], ""
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 if line[1:].strip().startswith("label:"):
                     label = line.split("label:", 1)[1].strip()
-                continue
-            verts = [[float(x) for x in v.split(",")] for v in line.split(";")]
-            curves.append(Curve(verts))
-    return CurveFamily(curves, label)
+            elif line:
+                verts = [[float(x) for x in v.split(",")] for v in line.split(";")]
+                lines.append(np.array(verts, dtype=float))
+    if len({v.shape[1] for v in lines}) > 1:
+        raise ValueError("all curves in a family must share one dimension")
+    return CurveFamily.from_arrays(np.concatenate(lines or [np.empty((0, 0))]),
+                                   [len(v) for v in lines], label)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurveFamily, GridDensity, GridSpec, curve_cell_lengths
+from .curves import CurveFamily, GridDensity, GridSpec, curve_cell_lengths
 from .geometry import SphericalRing
 
 DEFAULT_BUDGET = 100_000
@@ -284,9 +284,7 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpe
 
 def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
     """Bounding-box grid around a family, padded by 5% of its extent on each side."""
-    pts = np.vstack([c.vertices for c in family])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = family.vertices.min(axis=0), family.vertices.max(axis=0)
     extent = np.maximum(hi - lo, 1e-12)
     return GridSpec(tuple(lo - 0.05 * extent), tuple(hi + 0.05 * extent),
                     (resolution,) * family.dim)
@@ -377,21 +375,18 @@ def blowup_family(separation: float, grid: GridSpec, eps0: float = 1.0,
     c = np.asarray(center, dtype=float)
     if len(c) != 2:
         raise ValueError("the blow-up experiment is planar")
-    h_min = float(np.min(grid.spacing))
-    floor = max(separation, 0.5 * h_min)
-    ratio = 2.0 ** (-1.0 / 8)
-    th = np.linspace(0.0, math.pi, 128)
-    curves = []
-    r = 0.9 * eps0
+    floor = max(separation, 0.5 * float(np.min(grid.spacing)))
+    radii, r = [], 0.9 * eps0
     while r >= floor and r > 0.0:
-        upper = c + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        lower = c + np.stack([r * np.cos(th), -r * np.sin(th)], axis=1)
-        curves.append(Curve(upper))
-        curves.append(Curve(lower))
-        r *= ratio
+        radii.append(r)
+        r *= 2.0 ** (-1.0 / 8)
+    th = np.linspace(0.0, math.pi, 128)
+    # each radius's upper arc, then its mirror image in the first axis
+    arcs = np.array(radii)[:, None, None, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    arcs = c + arcs * np.array([[[1.0, 1.0]], [[1.0, -1.0]]])
     label = (f"arcs joining axis segments, separation={separation:g}, "
-             f"floor={floor:g}, {len(curves)} curves")
-    return CurveFamily(curves, label)
+             f"floor={floor:g}, {2 * len(radii)} curves")
+    return CurveFamily.from_arrays(arcs.reshape(-1, 2), np.full(2 * len(radii), 128), label)
 
 
 def blowup_experiment(separation: float, resolution: int, eps0: float = 1.0,

@@ -45,7 +45,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
 
     y0 = np.asarray(y0, dtype=float).ravel()
     ring = SphericalRing(tuple(y0), r1, r2)
-    ends = np.stack([curve.vertices for curve in generate_ring_family(ring, count)])
+    ends = generate_ring_family(ring, count).vertices.reshape(count, 2, -1)
     d = ends[:, 1] - ends[:, 0]
     length = np.linalg.norm(d, axis=1)
     t = np.linspace(0.0, length, LIFT_VERTEX_BUDGET, axis=1) / length[:, None]
@@ -72,7 +72,7 @@ def _lifted_modulus(f: MappingSpec, y0, r1: float, r2: float, resolution: int,
                     count: int, tol: float, budget: int) -> ModulusResult:
     """Discrete modulus of the lifted ring family on a grid centred on its bounding box."""
     family = lifted_ring_family(f, y0, r1, r2, count)
-    pts = np.concatenate([curve.vertices for curve in family])
+    pts = family.vertices
     mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     R = float(np.linalg.norm(pts - mid, axis=1).max())
     grid = ring_grid(SphericalRing(tuple(mid), R / 2, R), resolution, len(family))

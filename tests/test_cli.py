@@ -110,6 +110,19 @@ k = 3
         ("solver.resolutoin", {"resolution = 64": "resolutoin = 32"}, "run"),
         ("[solvr]", {"[solver]": "[solvr]"}, "run"),
         ("solver.seed", {"seed = 7": "seed = -1"}, "run"),
+        # scenario-specific checks, also made before any work
+        ("geometry.r0", {"kind = poletski": "kind = continuity",
+                         "r2 = 0.4": "r2 = 0.4\nr0 = 0.25"}, "run"),
+        ("mapping.kind", {"kind = poletski": "kind = continuity",
+                          "kind = winding": "kind = inversion"}, "run"),
+        ("mapping.kind", {"kind = poletski": "kind = weight_bound",
+                          "kind = winding": "kind = inversion"}, "run"),
+        ("mapping.dim", {"kind = poletski": "kind = blowup", "dim = 2": "dim = 3",
+                         "center = 0, 0": "center = 0, 0, 0", "y0 = 0, 0": "y0 = 0, 0, 0",
+                         "resolution = 64": "resolution = 24"}, "run"),
+        ("geometry.r0", {"kind = poletski": "kind = continuity",
+                         "[output]": "[sweep]\nparameter = geometry.r0\n"
+                                     "values = 0.1, 0.2, 0.3\n[output]"}, "sweep"),
     ])
     def test_bad_value_named(self, tmp_path, capsys, field, edits, command):
         out = tmp_path / "out"

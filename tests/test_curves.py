@@ -123,14 +123,58 @@ class TestCurveBasics:
             CurveFamily([Curve([[0, 0], [1, 0]]), Curve([[0, 0, 0], [1, 0, 0]])])
 
     def test_serialization_roundtrip(self, tmp_path):
-        fam = generate_ring_family(SphericalRing((0.5, -0.25), 1.0, 2.0), 5, "spiral")
+        # spiral, 3-D radial, lifted and list-built families come back exactly,
+        # as one array whose views are the curves
         path = tmp_path / "family.txt"
-        save_family(fam, path)
-        back = load_family(path)
-        assert back.label == fam.label
-        assert len(back) == len(fam)
-        for a, b in zip(fam, back):
-            assert np.allclose(a.vertices, b.vertices, atol=0, rtol=0)
+        for fam in [
+            generate_ring_family(SphericalRing((0.5, -0.25), 1.0, 2.0), 5, "spiral"),
+            generate_ring_family(SphericalRing((0.1, 0.2, 0.3), 0.3, 0.9), 7),
+            lifted_ring_family(winding(3), (0.0, 0.0), 0.1, 0.4, 16),
+            CurveFamily([Curve([[0.0, 0.0], [1.0, 1.0]]), Curve([[1.0, 1.0], [0.1, 1e-300]])]),
+        ]:
+            save_family(fam, path)
+            back = load_family(path)
+            assert back.label == fam.label
+            assert [c.n_vertices for c in back] == [c.n_vertices for c in fam]
+            assert back.vertices.tobytes() == fam.vertices.tobytes()
+            assert all(c.vertices.base is back.vertices for c in back)
+
+
+def reference_load_line(line: str) -> Curve:
+    """Oracle: one curve record parsed and checked on its own, as Curve does."""
+    return Curve([[float(x) for x in v.split(",")] for v in line.split(";")])
+
+
+class TestLoadFamily:
+    """A family file is read into one vertex array and validated once."""
+
+    @pytest.mark.parametrize("line", [
+        "0,0;1,zero", "0,0;1", "0,0,0;1,1", "0,0;;1,1", "0,0", "0,0;inf,1", "0,0;nan,1",
+        "0,0;1,1;1,1;2,0",
+    ], ids=["unparsable", "ragged", "ragged-3d", "blank-vertex", "single-vertex",
+            "infinite", "nan", "repeated-vertex"])
+    def test_bad_record_raises_curves_error(self, tmp_path, line):
+        with pytest.raises(ValueError) as expected:
+            reference_load_line(line)
+        path = tmp_path / "family.txt"
+        path.write_text(f"# label: bad\n0.5,0.5;1.5,0.5\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            load_family(path)
+
+    def test_mixed_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("0,0;1,0\n0,0,0;1,0,0\n")
+        with pytest.raises(ValueError, match="one dimension"):
+            load_family(path)
+
+    @pytest.mark.parametrize("text", ["", "# label: none\n\n"])
+    def test_empty_file_has_no_dimension(self, tmp_path, text):
+        path = tmp_path / "family.txt"
+        path.write_text(text)
+        fam = load_family(path)
+        assert len(fam) == 0
+        with pytest.raises(ValueError, match="empty family has no dimension"):
+            fam.dim
 
 
 class TestFamilyFromArrays:
@@ -167,6 +211,25 @@ class TestFamilyFromArrays:
         fam = generate_ring_family(SphericalRing((0.0, 0.0), 1.0, 2.0), 8, "spiral")
         first = list(fam)
         assert all(a is b for a, b in zip(first, fam, strict=True))
+
+    def test_vertices_are_the_validated_array(self):
+        given = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [2, 1]], dtype=float)
+        fam = CurveFamily.from_arrays(given, [2, 3])
+        assert fam.vertices is fam.vertices and not fam.vertices.flags.writeable
+        assert all(c.vertices.base is fam.vertices for c in fam)
+        assert fam.vertices.tobytes() == given.tobytes()
+        with pytest.raises(ValueError):
+            fam.vertices[0, 0] = 2.0
+
+    def test_list_family_joins_its_curves_once_when_read(self):
+        curves = list(generate_ring_family(SphericalRing((0.0, 0.0), 1.0, 2.0), 4, "spiral"))
+        curves.append(Curve([[0.0, 0.0], [1.0, 0.5]]))
+        fam = CurveFamily(curves, "listed")
+        assert all(a is b for a, b in zip(fam, curves, strict=True))
+        assert "vertices" not in vars(fam)  # the constructor packs nothing
+        packed = fam.vertices
+        assert packed is fam.vertices and not packed.flags.writeable
+        assert packed.tobytes() == np.concatenate([c.vertices for c in curves]).tobytes()
 
     def test_mixed_dimensions_rejected(self):
         flat = CurveFamily.from_arrays([[0, 0], [1, 0]], [2])

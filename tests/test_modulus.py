@@ -13,7 +13,8 @@ from modlab.curves import (Curve, CurveFamily, GridSpec, curve_cell_lengths,
 from modlab.geometry import SphericalRing
 from modlab.mappings import image_ball, radial_stretch
 from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
-                            blowup_experiment, discrete_modulus, family_grid,
+                            blowup_experiment, blowup_family, discrete_modulus,
+                            family_grid,
                             power_eta, reciprocal_eta,
                             ring_grid, ring_modulus_analytic, uniform_eta,
                             unit_sphere_area, weighted_rhs_integral)
@@ -477,7 +478,34 @@ class TestRingGrid:
             assert np.all(grid.contains(c.vertices))
 
 
+def reference_blowup_arcs(separation, grid, eps0, center):
+    """Oracle: the upper and lower arc of each radius, one radius at a time."""
+    c = np.asarray(center, dtype=float)
+    floor = max(separation, 0.5 * float(np.min(grid.spacing)))
+    th = np.linspace(0.0, math.pi, 128)
+    arcs = []
+    r = 0.9 * eps0
+    while r >= floor and r > 0.0:
+        arcs.append(c + np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+        arcs.append(c + np.stack([r * np.cos(th), -r * np.sin(th)], axis=1))
+        r *= 2.0 ** (-1.0 / 8)
+    return arcs
+
+
 class TestBlowup:
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.2)])
+    @pytest.mark.parametrize("separation", [0.5, 0.125, 0.03125, 0.0])
+    def test_family_matches_per_arc_construction(self, separation, center):
+        c = np.asarray(center)
+        grid = GridSpec(tuple(c - 1.0), tuple(c + 1.0), (96, 96))
+        family = blowup_family(separation, grid, 1.0, center=center)
+        arcs = reference_blowup_arcs(separation, grid, 1.0, center)
+        assert len(family) == len(arcs) > 0
+        assert family.label.endswith(f", {len(arcs)} curves")
+        assert family.vertices.tobytes() == np.concatenate(arcs).tobytes()
+        for curve, arc in zip(family, arcs):
+            assert curve.vertices.tobytes() == arc.tobytes()
+
     def test_modulus_grows_as_separation_shrinks(self):
         coarse = blowup_experiment(0.5, 128)
         finer = blowup_experiment(0.25, 128)
