@@ -9,7 +9,7 @@ boundaries it crosses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -68,12 +68,13 @@ class Curve:
 
 @dataclass
 class CurveFamily:
-    """A finite family of curves standing in for a continuum family."""
+    """A finite family of curves standing in for a continuum family, held as a tuple."""
 
-    curves: list[Curve] = field(default_factory=list)
+    curves: tuple[Curve, ...] = ()
     label: str = ""
 
     def __post_init__(self):
+        self.curves = tuple(self.curves)
         dims = {c.vertices.shape[1] for c in self.curves}
         if len(dims) > 1:
             raise ValueError("all curves in a family must share one dimension")

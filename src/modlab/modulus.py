@@ -283,11 +283,11 @@ def ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpe
 
 
 def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
-    """Bounding-box grid around a family, padded by 5% of its extent on each side."""
-    lo, hi = family.vertices.min(axis=0), family.vertices.max(axis=0)
-    extent = np.maximum(hi - lo, 1e-12)
-    return GridSpec(tuple(lo - 0.05 * extent), tuple(hi + 0.05 * extent),
-                    (resolution,) * family.dim)
+    """ring_grid about the family's bounding-box midpoint, out to its farthest vertex."""
+    pts = family.vertices
+    mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    R = float(np.linalg.norm(pts - mid, axis=1).max())
+    return ring_grid(SphericalRing(tuple(mid), R / 2, R), resolution, len(family))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .geometry import SphericalRing, row_dot
 from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
                        evaluate_many, image_ball, weight_Q)
 from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
-from .modulus import (EtaFunction, ModulusResult, discrete_modulus, power_eta,
-                      reciprocal_eta, ring_grid, uniform_eta, weighted_rhs_integral)
+from .modulus import (EtaFunction, ModulusResult, discrete_modulus, family_grid,
+                      power_eta, reciprocal_eta, uniform_eta, weighted_rhs_integral)
 
 # Discrete modulus carries the dominant error; closed-form sides are exact.
 DEFAULT_REL_TOL = 0.02
@@ -70,13 +70,10 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
 
 def _lifted_modulus(f: MappingSpec, y0, r1: float, r2: float, resolution: int,
                     count: int, tol: float, budget: int) -> ModulusResult:
-    """Discrete modulus of the lifted ring family on a grid centred on its bounding box."""
+    """Discrete modulus of the lifted ring family on its family_grid."""
     family = lifted_ring_family(f, y0, r1, r2, count)
-    pts = family.vertices
-    mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    R = float(np.linalg.norm(pts - mid, axis=1).max())
-    grid = ring_grid(SphericalRing(tuple(mid), R / 2, R), resolution, len(family))
-    return discrete_modulus(family, grid, p=float(f.dim), tol=tol, budget=budget)
+    return discrete_modulus(family, family_grid(family, resolution), p=float(f.dim),
+                            tol=tol, budget=budget)
 
 
 @dataclass

@@ -4,13 +4,17 @@ import configparser
 import csv
 import io
 import json
+import math
 
 import pytest
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modlab import cli
+from modlab.curves import Curve, CurveFamily, generate_ring_family, save_family
+from modlab.geometry import SphericalRing
 from modlab.mappings import DomainError
+from modlab.modulus import discrete_modulus, ring_grid
 
 
 def write_config(path, text):
@@ -401,6 +405,36 @@ out_dir = {out}
         assert cli.run(cfg) == 0
         rec = json.loads((out / "report.json").read_text())["results"][0]
         assert rec["family"] == "sides" and rec["lhs"] > 0.0
+
+    @pytest.mark.parametrize("name, resolution, rel", [
+        ("ring", 128, 0.01),
+        ("ring", 256, 0.01),
+        ("mixed", 256, 0.01),
+        ("rectangle", 128, 0.05),
+    ])
+    def test_family_file_replay(self, tmp_path, name, resolution, rel):
+        # a saved family replays on a grid matched to its curve spacing, so the
+        # density cannot collapse onto tubes and undershoot the modulus
+        ring = SphericalRing((0.0, 0.0), 1.0, math.e)
+        if name == "ring":
+            family, expected = generate_ring_family(ring, 256), 2.0 * math.pi
+        elif name == "mixed":
+            spiral = generate_ring_family(ring, 128, kind="spiral", pitch=0.5, vertex_budget=32)
+            family = CurveFamily(list(generate_ring_family(ring, 128)) + list(spiral), "mixed")
+            expected = discrete_modulus(family, ring_grid(ring, 256, 256), p=2.0,
+                                        tol=3e-3).value
+        else:
+            family = CurveFamily([Curve([[0.0, y], [1.0, y]])
+                                  for y in (np.arange(256) + 0.5) / 256], "sides")
+            expected = 1.0  # the side-joining unit square
+        path = tmp_path / "family.txt"
+        save_family(family, path)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini",
+                           FAMILY_CONFIG.format(family=path, dim=2, out=out))
+        assert cli.main(["run", cfg, "--grid", str(resolution)]) == 0
+        rec = json.loads((out / "report.json").read_text())["results"][0]
+        assert rec["lhs"] == pytest.approx(expected, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("text, dim", [
         ("", 2),

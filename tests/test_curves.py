@@ -231,6 +231,21 @@ class TestFamilyFromArrays:
         assert packed is fam.vertices and not packed.flags.writeable
         assert packed.tobytes() == np.concatenate([c.vertices for c in curves]).tobytes()
 
+    def test_curves_cannot_change_after_vertices_are_read(self):
+        # the curves are a tuple, so vertices never misses an appended curve
+        ring = SphericalRing((0.0, 0.0), 1.0, 2.0)
+        given = list(generate_ring_family(ring, 4, "spiral"))
+        for fam in (generate_ring_family(ring, 4), CurveFamily(given), CurveFamily(iter(given))):
+            packed = fam.vertices
+            with pytest.raises(AttributeError):
+                fam.curves.append(Curve([[0.0, 0.0], [1.0, 0.5]]))
+            assert len(fam) == 4 and fam.vertices is packed
+        # a family built from any iterable yields the curves it was given, and
+        # from_arrays' curves stay views of its vertices
+        assert all(a is b for a, b in zip(CurveFamily(iter(given)), given, strict=True))
+        arrays = generate_ring_family(ring, 4)
+        assert all(c.vertices.base is arrays.vertices for c in arrays)
+
     def test_mixed_dimensions_rejected(self):
         flat = CurveFamily.from_arrays([[0, 0], [1, 0]], [2])
         solid = CurveFamily.from_arrays([[0, 0, 0], [1, 0, 0]], [2])
@@ -374,6 +389,8 @@ class TestCellLengthsAgainstReference:
         mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         R = float(np.linalg.norm(pts - mid, axis=1).max())
         spec = ring_grid(SphericalRing(tuple(mid), R / 2, R), 128, len(fam))
+        grid = family_grid(fam, 128)
+        assert (grid.lo, grid.hi, grid.shape) == (spec.lo, spec.hi, spec.shape)
         for curve in fam:
             idx, lens = curve_cell_lengths(spec, curve)
             ref_idx, ref_lens = reference_cell_lengths(spec, curve)
