@@ -17,10 +17,9 @@ from .modulus import (EtaFunction, ModulusResult, SolverBudgetExceeded,
                       power_eta, reciprocal_eta, ring_grid,
                       ring_modulus_analytic, uniform_eta, unit_sphere_area,
                       weighted_rhs_integral)
-from .mappings import (DistortionReport, LiftingAmbiguity, MappingSpec, WeightQ,
-                       cluster_set_estimate, distortion_at,
-                       evaluate, identity, inversion, lift_curve, multiplicity,
-                       preimages, radial_stretch, weight_Q, winding)
+from .mappings import (DistortionReport, MappingSpec, WeightQ, cluster_set_estimate,
+                       distortion_at, evaluate, identity, inversion, lift_curve,
+                       multiplicity, preimages, radial_stretch, weight_Q, winding)
 from .verifier import (WeightBoundReport, ContinuityReport, PoletskiReport,
                        lifted_ring_family, continuity_bound, weight_bound_check,
                        verify_poletski)
@@ -34,7 +33,7 @@ __all__ = [
     "admissible_check", "blowup_experiment", "discrete_modulus",
     "power_eta", "reciprocal_eta", "ring_grid", "ring_modulus_analytic",
     "uniform_eta", "unit_sphere_area", "weighted_rhs_integral",
-    "DistortionReport", "LiftingAmbiguity", "MappingSpec", "WeightQ",
+    "DistortionReport", "MappingSpec", "WeightQ",
     "cluster_set_estimate", "distortion_at", "evaluate",
     "identity", "inversion", "lift_curve", "multiplicity", "preimages",
     "radial_stretch", "weight_Q", "winding",

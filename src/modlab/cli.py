@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
-from .mappings import (MAPPING_KINDS, DomainError, LiftingAmbiguity, MappingSpec,
-                       cluster_set_estimate, image_ball)
+from .mappings import (MAPPING_KINDS, DomainError, MappingSpec, cluster_set_estimate,
+                       image_ball)
 from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
                       family_grid, ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
@@ -320,12 +320,8 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
                    outcome: dict) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    clean = []
-    density = None
-    for rec in records:
-        rec = dict(rec)
-        density = rec.pop("_density", None) or density
-        clean.append(rec)
+    clean = [{key: v for key, v in rec.items() if key != "_density"} for rec in records]
+    density = next((rec["_density"] for rec in reversed(records) if rec.get("_density")), None)
     report = {
         "tool": "modlab",
         "version": __version__,
@@ -347,13 +343,17 @@ def _write_outputs(cfg: ExperimentConfig, records: list[dict], started: float,
         spec = density.density.spec
         flat = density.density.flat()
         nz = np.flatnonzero(flat)
-        rows = np.column_stack([nz, spec.cell_center(nz), flat[nz]])
-        row = ",".join(["%d"] + ["%.9g"] * (spec.dim + 1)) + "\r\n"
+        # axis a's shape[a] cell-centre coordinates, formatted once as cell_center computes them
+        axes = [np.array(["%.9g" % x for x in (lo + h * (np.arange(m) + 0.5)).tolist()], object)
+                for lo, h, m in zip(spec.lo, spec.spacing, spec.shape)]
+        row = "%d," + "%s," * spec.dim + "%.9g\r\n"
         with open(out / "density.csv", "w", newline="") as fh:
             fh.write(",".join(["cell_index", *(f"x{a}" for a in range(spec.dim)), "rho"])
                      + "\r\n")
-            for i in range(0, len(rows), DENSITY_BLOCK_ROWS):
-                block = rows[i:i + DENSITY_BLOCK_ROWS]
+            for i in range(0, len(nz), DENSITY_BLOCK_ROWS):
+                cells = nz[i:i + DENSITY_BLOCK_ROWS]
+                coords = (x[j] for x, j in zip(axes, np.unravel_index(cells, spec.shape)))
+                block = np.column_stack([cells, *coords, flat[cells]])
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -377,9 +377,8 @@ def _sweep_steps(cfg: ExperimentConfig) -> list:
 def _execute(config_path, overrides: dict | None, sweep: bool) -> int:
     """Validate every step of a run or sweep, then run them and write the reports.
 
-    A solver failure (the budget ran out, or a lift met a branch point or left
-    the mapping's domain) still reports the finished records, the message and
-    the best upper bound.
+    A solver failure (the budget ran out, or a lift left the mapping's domain)
+    still reports the finished records, the message and the best upper bound.
     """
     started = time.time()
     records, failure = [], {}
@@ -393,7 +392,7 @@ def _execute(config_path, overrides: dict | None, sweep: bool) -> int:
         for value, step in steps:
             rec = run_scenario(step)
             records.append({**rec, "parameter": value} if sweep else rec)
-    except (SolverBudgetExceeded, LiftingAmbiguity, DomainError) as exc:
+    except (SolverBudgetExceeded, DomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         failure = {"message": str(exc), "best_value": getattr(exc, "best_value", None)}
     except (ValueError, OSError) as exc:

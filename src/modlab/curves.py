@@ -31,7 +31,8 @@ def _polylines(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         raise ValueError("a curve needs at least two vertices")
     if not np.isfinite(v).all():
         raise ValueError("curve vertices must be finite")
-    zero = np.linalg.norm(np.diff(v, axis=0), axis=1) == 0.0
+    d = v[1:] - v[:-1]  # norm(d, axis=1) == 0 axis by axis, faster on a tall array
+    zero = sum((x * x for x in d.T), np.zeros(len(d))) == 0.0
     zero[sizes[:-1].cumsum() - 1] = False  # the joins between polylines
     if zero.any():
         raise ValueError("consecutive curve vertices must be distinct")
@@ -66,15 +67,15 @@ class Curve:
         return f"Curve({self.n_vertices} vertices, dim={self.dim}, length={self.length():.4g})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveFamily:
-    """A finite family of curves standing in for a continuum family, held as a tuple."""
+    """A finite family of curves standing in for a continuum family; frozen, curves a tuple."""
 
     curves: tuple[Curve, ...] = ()
     label: str = ""
 
     def __post_init__(self):
-        self.curves = tuple(self.curves)
+        object.__setattr__(self, "curves", tuple(self.curves))
         dims = {c.vertices.shape[1] for c in self.curves}
         if len(dims) > 1:
             raise ValueError("all curves in a family must share one dimension")
@@ -92,7 +93,7 @@ class CurveFamily:
         for curve, a, b in zip(curves, (ends - sizes).tolist(), ends.tolist()):
             curve.vertices = v[a:b]
         family = cls(curves, label)
-        family.vertices = v
+        object.__setattr__(family, "vertices", v)
         return family
 
     @cached_property

@@ -22,10 +22,8 @@ from .modulus import unit_sphere_area
 
 MAPPING_KINDS = ("identity", "winding", "radial_stretch", "inversion")
 
-# Relative radius below which a lifted vertex counts as reaching the puncture.
+# Relative distance within which a lift or an image step meets the puncture or its image.
 PUNCTURE_TOL = 1e-9
-# Two distinct preimage branches closer than this to equidistant are ambiguous.
-AMBIGUITY_TOL = 1e-6
 # Relative distance within which a lift's start must map to the curve's start.
 START_TOL = 1e-9
 # Chordal distance below which cluster-set images join one cluster.
@@ -36,10 +34,6 @@ FD_STEP = 1e-4
 COMPLETED = "completed"
 HIT_PUNCTURE = "hit_puncture"
 HIT_OUTER_SPHERE = "hit_outer_sphere"
-
-
-class LiftingAmbiguity(Exception):
-    """Two preimage branches are equally close to the running lift."""
 
 
 class DomainError(ValueError):
@@ -320,56 +314,57 @@ def preimages(f: MappingSpec, y) -> list[np.ndarray]:
 
 def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lift the image curves image[owner] from starts, all lifts one vertex at a time.
+    """Lift the image curves image[owner] from starts, every (lift, vertex) pair at once.
 
-    A lift continues along the nearest preimage branch and stops once it
-    leaves the closure of the punctured ball: at the puncture or its image
-    (HIT_PUNCTURE), or past the bounding sphere (HIT_OUTER_SPHERE).  The
-    lowest failing lift raises, naming its image curve and vertex.  Returns the
-    lifts' vertices end to end, each lift's vertex count and each lift's status.
+    The radial power has one branch.  The winding's branch at vertex i is the
+    start's plus the net count of the image angle's crossings of arctan2's cut
+    up to i, mod k.  A lift stops before a vertex at the puncture's image or a
+    planar winding step that passes it, an angle change within PUNCTURE_TOL of
+    pi (HIT_PUNCTURE); or at a vertex within PUNCTURE_TOL of the puncture
+    (HIT_PUNCTURE) or past the bounding sphere (HIT_OUTER_SPHERE).  The lowest
+    lift left with one vertex raises.  Returns the lifts' vertices end to end,
+    their vertex counts and their statuses.
     """
     c = f.center_array()
-    lifted = np.full((len(owner),) + image.shape[1:], np.nan)
+    w = image[owner] - c
+    cut = row_dot(w, w) == 0.0  # the puncture's image has no preimage
+    if f.kind == "winding":
+        th = np.arctan2(w[..., 1], w[..., 0])
+        dth = np.diff(th, axis=1)
+        s = starts - c
+        turns = np.rint(np.column_stack([f.k * np.arctan2(s[:, 1], s[:, 0]) - th[:, 0], -dth])
+                        / (2.0 * math.pi))
+        th = (th + 2.0 * math.pi * (np.cumsum(turns, axis=1) % f.k)) / f.k
+        if f.dim == 2:
+            cut[:, 1:] |= np.abs(np.abs(dth) - math.pi) <= PUNCTURE_TOL
+        r = np.hypot(w[..., 0], w[..., 1])
+        z = w.copy()
+        z[..., 0], z[..., 1] = r * np.cos(th), r * np.sin(th)
+    else:
+        z = _preimages_rel(f, w.reshape(-1, f.dim)).reshape(w.shape)
+    lifted = c + z
     lifted[:, 0] = starts
-    status = np.full(len(owner), COMPLETED, dtype=object)
-    failed = {}
-    active = np.arange(len(owner))
-    for i in range(1, image.shape[1]):
-        w = image[owner[active], i] - c
-        hit = row_dot(w, w) == 0.0  # the puncture's image has no preimage
-        cands = c + _preimages_rel(f, w)
-        diff = cands - lifted[active, i - 1][:, None, :]
-        dists = np.sqrt(row_dot(diff, diff))
-        near = np.argsort(dists, axis=1)[:, :2]  # the nearest branch and the runner-up
-        dist = np.take_along_axis(dists, near, axis=1)
-        z = np.take_along_axis(cands, near[..., None], axis=1)
-        best, gap, sep = z[:, 0], dist[:, -1] - dist[:, 0], z[:, -1] - z[:, 0]
-        ambiguous = ~hit & (gap <= AMBIGUITY_TOL) & (np.sqrt(row_dot(sep, sep)) > 1e-12)
-        for j, g in zip(active[ambiguous], gap[ambiguous]):
-            failed[j] = LiftingAmbiguity(f"image curve {owner[j]}: image vertex {i}: "
-                                         f"two branches within {g:.3g} of equidistant")
-        step = ~hit & ~ambiguous
-        lifted[active[step], i] = best[step]
-        rad = np.sqrt(row_dot(best - c, best - c))
-        puncture = hit | (step & (rad <= PUNCTURE_TOL * f.epsilon0))
-        outer = step & (rad > f.epsilon0 * (1.0 + 1e-12))
-        status[active[puncture]] = HIT_PUNCTURE
-        status[active[outer]] = HIT_OUTER_SPHERE
-        active = active[step & ~puncture & ~outer]
-    # a lift's vertices are a prefix of its row; drop the rest and repeated vertices
-    keep = np.concatenate([np.ones((len(owner), 1), bool),
-                           np.linalg.norm(np.diff(lifted, axis=1), axis=2) > 0.0], axis=1)
+    rad = np.sqrt(row_dot(lifted - c, lifted - c))
+    outer = rad > f.epsilon0 * (1.0 + 1e-12)
+    stop = cut | outer | (rad <= PUNCTURE_TOL * f.epsilon0)
+    stop[:, 0] = False
+    first, lifts = stop.argmax(axis=1), np.arange(len(owner))  # 0: the lift never stops
+    passed = cut[lifts, first]
+    status = np.select([first == 0, outer[lifts, first] & ~passed],
+                       [COMPLETED, HIT_OUTER_SPHERE], HIT_PUNCTURE).astype(object)
+    # a lift is a prefix of its row, to its stop, less repeated vertices
+    m, step = image.shape[1], np.diff(lifted, axis=1)
+    keep = np.arange(m) < np.where(first == 0, m, first + ~passed)[:, None]
+    keep[:, 1:] &= row_dot(step, step) > 0.0
     sizes = keep.sum(axis=1)
-    bad = failed.keys() | set(np.flatnonzero(sizes < 2).tolist())
-    if bad:
-        j = min(bad)
-        raise failed[j] if j in failed else DomainError(
-            f"image curve {owner[j]}: lift collapsed to a single point")
+    if (sizes < 2).any():
+        raise DomainError(f"image curve {owner[np.argmax(sizes < 2)]}: "
+                          f"lift collapsed to a single point")
     return lifted[keep], sizes, status
 
 
 def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
-    """Lift an image curve through f, continuing along the nearest preimage branch.
+    """Lift an image curve through f, continuing along the branch the start lies on.
 
     The lift begins at `start` (which must map to the curve's first vertex) and
     stops once it leaves the closure of the punctured ball, reporting whether it

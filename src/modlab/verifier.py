@@ -16,8 +16,8 @@ import numpy as np
 
 from .curves import CurveFamily
 from .geometry import SphericalRing, row_dot
-from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
-                       evaluate_many, image_ball, weight_Q)
+from .mappings import (PUNCTURE_TOL, DomainError, MappingSpec, _lift_many,
+                       _preimages_rel, evaluate_many, image_ball, weight_Q)
 from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
 from .modulus import (EtaFunction, ModulusResult, discrete_modulus, family_grid,
                       power_eta, reciprocal_eta, uniform_eta, weighted_rhs_integral)
@@ -40,6 +40,8 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     LIFT_VERTEX_BUDGET arclength-uniform points for stable branch tracking, and
     each is lifted from every preimage of its initial point; the lifted curves
     form the returned family (k branches per image curve for a k-fold winding).
+    A segment within PUNCTURE_TOL (relative) of the puncture's image has no lift
+    in the punctured ball; it is dropped with all its branches.
     """
     from .curves import generate_ring_family
 
@@ -52,11 +54,13 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     image = ends[:, :1] + t[..., None] * d[:, None]
     c = f.center_array()
     w = image[:, 0] - c
+    gap = w + np.clip(-row_dot(w, d) / length**2, 0.0, 1.0)[:, None] * d  # nearest c, less c
+    through = np.sqrt(row_dot(gap, gap)) <= PUNCTURE_TOL * (np.sqrt(row_dot(w, w)) + length)
     starts = c + _preimages_rel(f, w)
     rad = np.sqrt(row_dot(starts - c, starts - c))
-    inside = (0.0 < rad) & (rad <= f.epsilon0 * (1.0 + 1e-9))  # w = 0 gives rad 0 or nan
+    inside = (rad <= f.epsilon0 * (1.0 + 1e-9)) & ~through[:, None]  # w = 0 is through
     # lifts of the image curves before the first one without a start fail first
-    missing = np.flatnonzero(~inside.any(axis=1))
+    missing = np.flatnonzero(~inside.any(axis=1) & ~through)
     stop = missing[0] if missing.size else len(image)
     owner, branch = np.nonzero(inside[:stop])
     lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch])

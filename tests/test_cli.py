@@ -5,13 +5,15 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modlab import cli
-from modlab.curves import Curve, CurveFamily, generate_ring_family, save_family
+from modlab.curves import (Curve, CurveFamily, GridDensity, GridSpec,
+                           generate_ring_family, save_family)
 from modlab.geometry import SphericalRing
 from modlab.mappings import DomainError
 from modlab.modulus import discrete_modulus, ring_grid
@@ -350,6 +352,26 @@ out_dir = {out}
             assert len(nz) > least
             assert (out / "density.csv").read_bytes() == expected.getvalue().encode()
 
+    @pytest.mark.parametrize("spec", [GridSpec((-0.37, 1.1), (2.9, 1.75), (97, 80)),
+                                      GridSpec((-1.0, -0.3, 0.2), (0.4, 1.0, 2.2), (21, 18, 24))])
+    def test_density_csv_matches_block_formatter(self, tmp_path, spec):
+        """density.csv equals the %-formatting of every row's cell_center, in blocks."""
+        values = np.random.default_rng(spec.dim).random(spec.n_cells) ** 3
+        values[values < 0.1] = 0.0
+        flat = GridDensity(spec, values).flat()
+        nz = np.flatnonzero(flat)
+        assert len(nz) > cli.DENSITY_BLOCK_ROWS
+        rows = np.column_stack([nz, spec.cell_center(nz), flat[nz]])
+        row = ",".join(["%d"] + ["%.9g"] * (spec.dim + 1)) + "\r\n"
+        expected = ",".join(["cell_index", *(f"x{a}" for a in range(spec.dim)), "rho"]) + "\r\n"
+        for i in range(0, len(rows), cli.DENSITY_BLOCK_ROWS):
+            block = rows[i:i + cli.DENSITY_BLOCK_ROWS]
+            expected += row * len(block) % tuple(block.ravel().tolist())
+        cfg = cli.ExperimentConfig(out_dir=str(tmp_path))
+        record = {"_density": SimpleNamespace(density=GridDensity(spec, values))}
+        cli._write_outputs(cfg, [record], 0.0, {"status": "ok"})
+        assert (tmp_path / "density.csv").read_bytes() == expected.encode()
+
     def test_cluster_set_scenario(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", f"""
@@ -490,19 +512,19 @@ out_dir = {out}
 
     def test_lifting_ambiguity_is_solver_failure(self, tmp_path, capsys):
         # image curve 16 runs along the negative first axis through 0, the
-        # winding's branch value, where its preimage branches are equidistant
+        # puncture's image, where the winding's branches meet: no lift of it
+        # stays in the punctured ball, so it and its 3 lifts leave the family
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", POLETSKI_CONFIG.format(out=out)
                            .replace("y0 = 0, 0", "y0 = 0.2, 0")
                            .replace("r1 = 0.1", "r1 = 0.05")
                            .replace("r2 = 0.4", "r2 = 0.3"))
-        assert cli.run(cfg) == cli.EXIT_SOLVER
+        assert cli.run(cfg) == cli.EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "solver_failure"
-        assert report["message"].startswith(
-            "image curve 16: image vertex 20: two branches within")
-        assert report["best_value"] is None
+        assert report["status"] == "ok"
+        rec = report["results"][0]
+        assert rec["family_size"] == rec["result"]["family_size"] == 3 * 31
 
     def test_domain_error_is_solver_failure(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -232,13 +232,17 @@ class TestFamilyFromArrays:
         assert packed.tobytes() == np.concatenate([c.vertices for c in curves]).tobytes()
 
     def test_curves_cannot_change_after_vertices_are_read(self):
-        # the curves are a tuple, so vertices never misses an appended curve
+        # the curves are a tuple of a frozen family, so vertices never misses a
+        # curve appended to them or a tuple assigned in their place
         ring = SphericalRing((0.0, 0.0), 1.0, 2.0)
         given = list(generate_ring_family(ring, 4, "spiral"))
+        curve = Curve([[0.0, 0.0], [1.0, 0.5]])
         for fam in (generate_ring_family(ring, 4), CurveFamily(given), CurveFamily(iter(given))):
             packed = fam.vertices
             with pytest.raises(AttributeError):
-                fam.curves.append(Curve([[0.0, 0.0], [1.0, 0.5]]))
+                fam.curves.append(curve)
+            with pytest.raises(AttributeError):
+                fam.curves = fam.curves + (curve,)
             assert len(fam) == 4 and fam.vertices is packed
         # a family built from any iterable yields the curves it was given, and
         # from_arrays' curves stay views of its vertices
@@ -383,14 +387,17 @@ class TestCellLengthsAgainstReference:
 
     def test_stretch_lift_on_suite_grid(self):
         # the grid the Poletski check puts on a lifted family: a ring grid about
-        # the family's bounding box, shifted half a cell
+        # the family's bounding box, shifted half a cell; family_grid's per-axis
+        # arithmetic gives the box and radius of the axis reductions here exactly
+        solid = lifted_ring_family(winding(3, dim=3), (0.15, 0.05, 0.1), 0.02, 0.1, 64)
         fam = lifted_ring_family(radial_stretch(3.0), (0.0, 0.0), 0.01, 0.08, 256)
-        pts = np.concatenate([c.vertices for c in fam])
-        mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        R = float(np.linalg.norm(pts - mid, axis=1).max())
-        spec = ring_grid(SphericalRing(tuple(mid), R / 2, R), 128, len(fam))
-        grid = family_grid(fam, 128)
-        assert (grid.lo, grid.hi, grid.shape) == (spec.lo, spec.hi, spec.shape)
+        for family, resolution in ((solid, 24), (fam, 128)):
+            pts = np.concatenate([c.vertices for c in family])
+            mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+            R = float(np.linalg.norm(pts - mid, axis=1).max())
+            spec = ring_grid(SphericalRing(tuple(mid), R / 2, R), resolution, len(family))
+            grid = family_grid(family, resolution)
+            assert (grid.lo, grid.hi, grid.shape) == (spec.lo, spec.hi, spec.shape)
         for curve in fam:
             idx, lens = curve_cell_lengths(spec, curve)
             ref_idx, ref_lens = reference_cell_lengths(spec, curve)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from modlab import verifier
 from modlab.curves import Curve
-from modlab.geometry import ExtendedPoint, chordal_distance
-from modlab.mappings import (DomainError, LiftingAmbiguity, MappingSpec,
-                             _components, _preimages_rel, cluster_set_estimate,
+from modlab.geometry import ExtendedPoint, chordal_distance, row_dot
+from modlab.mappings import (PUNCTURE_TOL, DomainError, MappingSpec, _components,
+                             _lift_many, _preimages_rel, cluster_set_estimate,
                              derivative_matrix, distortion_at,
                              distortion_from_matrix, evaluate, evaluate_many,
                              finite_difference_derivative, identity, image_ball,
@@ -298,15 +299,146 @@ class TestLifting:
             assert ang[-1] - ang[0] == pytest.approx(2 * math.pi / k, abs=1e-9)
 
     def test_ambiguous_branch_raises(self):
-        # jump by angle pi: the two square-root branches are equidistant
+        # a jump by angle pi runs through 0, the puncture's image, where the two
+        # square-root branches tie: the lift stops before it, at its start
         curve = Curve([[0.3, 0.0], [-0.3, 0.0]])
-        with pytest.raises(LiftingAmbiguity):
+        with pytest.raises(DomainError, match="collapsed to a single point"):
             lift_curve(winding(2), curve, [0.3, 0.0])
 
     def test_wrong_start_rejected(self):
         curve = Curve([[0.3, 0.0], [0.2, 0.0]])
         with pytest.raises(ValueError):
             lift_curve(winding(2), curve, [0.1, 0.1])
+
+    def test_lift_leaves_ball_mid_curve(self):
+        # the image segment runs out past |y| = 0.5, the image of the ball's
+        # bounding sphere: the lift keeps its vertices up to the first one past it
+        f = winding(3)
+        ts = np.linspace(0.2, 0.8, 13)
+        image = np.stack([ts * math.cos(1.0), ts * math.sin(1.0)], axis=1)
+        start = preimages(f, image[0])[2]
+        lift, status = lift_curve(f, Curve(image), start)
+        assert status == HIT_OUTER_SPHERE
+        assert len(lift.vertices) == 8  # radii 0.2, ..., 0.5, 0.55
+        np.testing.assert_allclose(np.linalg.norm(lift.vertices, axis=1), ts[:8],
+                                   rtol=1e-15, atol=0.0)
+        angles = np.arctan2(lift.vertices[:, 1], lift.vertices[:, 0])
+        np.testing.assert_allclose(angles, (1.0 + 4.0 * math.pi) / 3 - 2 * math.pi,
+                                   rtol=1e-15, atol=0.0)
+
+
+AMBIGUITY_TOL = 1e-6  # the reference's gap below which two branches tie
+
+
+def reference_lift_many(f, image, owner, starts):
+    """Oracle: the nearest-branch search, all lifts one vertex at a time.
+
+    Each step takes the preimage nearest the lift's last vertex and asserts
+    that the runner-up is farther by more than AMBIGUITY_TOL; it stops as
+    _lift_many does and returns the same vertices, sizes and statuses.
+    """
+    c = f.center_array()
+    lifted = np.full((len(owner),) + image.shape[1:], np.nan)
+    lifted[:, 0] = starts
+    status = np.full(len(owner), COMPLETED, dtype=object)
+    active = np.arange(len(owner))
+    for i in range(1, image.shape[1]):
+        w = image[owner[active], i] - c
+        hit = row_dot(w, w) == 0.0
+        cands = c + _preimages_rel(f, w)
+        diff = cands - lifted[active, i - 1][:, None, :]
+        dists = np.sqrt(row_dot(diff, diff))
+        near = np.argsort(dists, axis=1)[:, :2]
+        dist = np.take_along_axis(dists, near, axis=1)
+        z = np.take_along_axis(cands, near[..., None], axis=1)
+        best, sep = z[:, 0], z[:, -1] - z[:, 0]
+        tie = (dist[:, -1] - dist[:, 0] <= AMBIGUITY_TOL) & (np.sqrt(row_dot(sep, sep)) > 1e-12)
+        assert not (tie & ~hit).any(), f"two branches tie at image vertex {i}"
+        lifted[active[~hit], i] = best[~hit]
+        rad = np.sqrt(row_dot(best - c, best - c))
+        puncture = hit | (~hit & (rad <= PUNCTURE_TOL * f.epsilon0))
+        outer = ~hit & (rad > f.epsilon0 * (1.0 + 1e-12))
+        status[active[puncture]] = HIT_PUNCTURE
+        status[active[outer]] = HIT_OUTER_SPHERE
+        active = active[~puncture & ~outer]
+    keep = np.concatenate([np.ones((len(owner), 1), bool),
+                           np.linalg.norm(np.diff(lifted, axis=1), axis=2) > 0.0], axis=1)
+    sizes = keep.sum(axis=1)
+    if (sizes < 2).any():
+        raise DomainError(f"image curve {owner[np.argmax(sizes < 2)]}: "
+                          f"lift collapsed to a single point")
+    return lifted[keep], sizes, status
+
+
+# (mapping, y0, r1, r2, image curves): the 12 benchmark suite configs, then
+# off-centre and 3-D families
+LIFT_FAMILIES = [
+    *[(winding(k), (0.0, 0.0), r1, r2, max(48, 256 // k))
+      for k in (2, 3, 5) for r1, r2 in ((0.1, 0.4), (0.05, 0.3))],
+    *[(radial_stretch(a), (0.0, 0.0), r1, r2, 256)
+      for a, rings in ((0.5, ((0.15, 0.6), (0.1, 0.5))), (2.0, ((0.02, 0.2), (0.01, 0.1))),
+                       (3.0, ((0.01, 0.08), (0.002, 0.05))))
+      for r1, r2 in rings],
+    (winding(3), (0.2, 0.0), 0.05, 0.15, 128),
+    (radial_stretch(2.0), (0.1, 0.05), 0.02, 0.06, 128),
+    (inversion(), (3.0, 0.0), 0.2, 0.8, 128),
+    (winding(3, dim=3), (0.0, 0.0, 0.0), 0.05, 0.3, 64),
+    (radial_stretch(2.0, dim=3), (0.1, 0.05, 0.02), 0.02, 0.06, 64),
+]
+
+
+class TestLiftReference:
+    """The closed-form branch gives the nearest-branch search's lifts bit for bit."""
+
+    @staticmethod
+    def lift_both(monkeypatch, f, y0, r1, r2, count):
+        """lifted_ring_family with every _lift_many call checked against the reference."""
+        lifts = []
+
+        def both(*args):
+            out = _lift_many(*args)
+            for got, ref in zip(out, reference_lift_many(*args), strict=True):
+                assert np.array_equal(got, ref)
+            lifts.append(len(out[1]))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_lift_many", both)
+            family = verifier.lifted_ring_family(f, y0, r1, r2, count)
+        assert lifts == [len(family)]
+        return family
+
+    @pytest.mark.parametrize("f, y0, r1, r2, count", LIFT_FAMILIES)
+    def test_families(self, monkeypatch, f, y0, r1, r2, count):
+        family = self.lift_both(monkeypatch, f, y0, r1, r2, count)
+        assert len(family) == multiplicity(f) * count
+
+    def test_family_less_its_curve_through_the_puncture_image(self, monkeypatch):
+        # image curve 20 of 32 about (0.1, 0.1) points at 0; the rest lift as before
+        family = self.lift_both(monkeypatch, winding(3), (0.1, 0.1), 0.05, 0.3, 32)
+        assert len(family) == 3 * 31
+        assert family.label.endswith("through winding(k=3) (93 curves)")
+
+    def test_criterion_8_inputs(self):
+        # the 800 random near-circles and 3 full circles of acceptance criterion 8
+        rng = np.random.default_rng(42)
+        cases = []
+        for f in ZOO:
+            shape, r_img = image_ball(f)
+            base = 1.5 * r_img if shape == "exterior" else 0.5 * r_img
+            for _ in range(100):
+                th = rng.uniform(0, 2 * math.pi) + np.cumsum(rng.uniform(-0.05, 0.05, 24))
+                rr = base * np.exp(np.cumsum(rng.uniform(-0.02, 0.02, 24)))
+                curve = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+                cases.append((f, curve, preimages(f, curve[0])[0]))
+        th = np.linspace(0.0, 2 * math.pi, 1025)
+        circle = 0.2 * np.stack([np.cos(th), np.sin(th)], axis=1)
+        cases += [(winding(k), circle, np.array([0.2, 0.0])) for k in (2, 3, 5)]
+        assert len(cases) == 803
+        for f, curve, start in cases:
+            args = (f, curve[None], np.array([0]), start[None])
+            for got, ref in zip(_lift_many(*args), reference_lift_many(*args), strict=True):
+                assert np.array_equal(got, ref)
 
 
 class TestClusterSet:

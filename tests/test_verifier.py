@@ -53,11 +53,13 @@ class TestBuildGammaF:
 
     def test_batched_lifts_equal_single_lifts(self):
         # the off-center stretch ring: some lifts complete, the others leave
-        # the punctured ball at different vertices
+        # the punctured ball at different vertices; image curve 16 runs through
+        # 0, the puncture's image, so no lift of it is in the family
         f = radial_stretch(2.0)
         fam = lifted_ring_family(f, (0.1, 0.0), 0.05, 0.2, 32)
-        image = generate_ring_family(SphericalRing((0.1, 0.0), 0.05, 0.2), 32)
-        assert len(fam) == len(image) == 32
+        image = list(generate_ring_family(SphericalRing((0.1, 0.0), 0.05, 0.2), 32))
+        del image[16]
+        assert len(fam) == len(image) == 31
         statuses = []
         for lift, image_curve in zip(fam, image):
             # arclength-uniform samples of the segment, as a polyline resampler
@@ -71,7 +73,7 @@ class TestBuildGammaF:
             assert np.array_equal(lift.vertices, single.vertices)
             assert (lift.n_vertices == LIFT_VERTEX_BUDGET) == (status == COMPLETED)
             statuses.append(status)
-        assert statuses.count(COMPLETED) == 19
+        assert statuses.count(COMPLETED) == 18
         assert statuses.count(HIT_OUTER_SPHERE) == 13
         exits = [c.n_vertices for c in fam if c.n_vertices < LIFT_VERTEX_BUDGET]
         assert min(exits) == 23 and max(exits) == 32
