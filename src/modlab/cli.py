@@ -28,7 +28,7 @@ from .curves import generate_ring_family, load_family
 from .geometry import SphericalRing
 from .mappings import (MAPPING_KINDS, DomainError, MappingSpec, cluster_set_estimate,
                        image_ball)
-from .modulus import (SolverBudgetExceeded, blowup_experiment, discrete_modulus,
+from .modulus import (DEFAULT_BUDGET, SolverBudgetExceeded, blowup_experiment, discrete_modulus,
                       family_grid, ring_grid, ring_modulus_analytic)
 from .verifier import continuity_bound, weight_bound_check, verify_poletski
 
@@ -133,7 +133,7 @@ CONFIG = (
         doc="continuity and cluster-set samples"),
     Key("solver", "seed", int, 0, _at_least(0),
         doc="seed of the continuity sample directions"),
-    Key("solver", "budget", int, 200_000, _at_least(1), doc="dual ascent iteration budget"),
+    Key("solver", "budget", int, DEFAULT_BUDGET, _at_least(1), doc="dual ascent iteration budget"),
     Key("output", "out_dir", str, "./modlab-out", doc="report directory"),
     Key("sweep", "parameter", str, "", attr="sweep_parameter", required=True,
         doc="the key `modlab sweep` varies, one marked sweepable"),

@@ -287,21 +287,24 @@ def weight_Q(f: MappingSpec) -> WeightQ:
 # Preimages and lifting
 # ---------------------------------------------------------------------------
 
-def _preimages_rel(f: MappingSpec, w: np.ndarray) -> np.ndarray:
-    """Preimages of (L, n) points relative to the center, as (L, branches, n).
+def _preimages_rel(f: MappingSpec, w: np.ndarray, branch=None) -> np.ndarray:
+    """Preimages of (..., n) points relative to the center, as (..., B, n).
 
-    A point with w . w = 0 (the puncture's image) has none; callers mask its rows.
+    The winding's branch j in `branch` (shape (..., B); all k when None) has
+    angle (theta + 2 pi j) / k; the radial power has one branch.  A point with
+    w . w = 0 (the puncture's image) has none; callers mask its rows.
     """
     if f.kind == "winding":
-        th = (np.arctan2(w[:, 1], w[:, 0])[:, None] + 2.0 * math.pi * np.arange(f.k)) / f.k
-        r = np.hypot(w[:, 0], w[:, 1])[:, None]
-        z = np.repeat(w[:, None, :], f.k, axis=1)
+        j = np.arange(f.k) if branch is None else branch
+        th = (np.arctan2(w[..., 1], w[..., 0])[..., None] + 2.0 * math.pi * j) / f.k
+        r = np.hypot(w[..., 0], w[..., 1])[..., None]
+        z = np.repeat(w[..., None, :], th.shape[-1], axis=-2)
         z[..., 0] = r * np.cos(th)
         z[..., 1] = r * np.sin(th)
         return z
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt(row_dot(w, w)) ** (1.0 / f.power - 1.0)
-        return (scale[:, None] * w)[:, None, :]
+        return (scale[..., None] * w)[..., None, :]
 
 
 def preimages(f: MappingSpec, y) -> list[np.ndarray]:
@@ -312,37 +315,39 @@ def preimages(f: MappingSpec, y) -> list[np.ndarray]:
     return list(f.center_array() + _preimages_rel(f, w[None])[0])
 
 
+def _through_puncture(w: np.ndarray) -> np.ndarray:
+    """Flags each step w[i] -> w[i+1] of (..., m, n) curves relative to the center that
+    passes within PUNCTURE_TOL (|w[i]| + |step|) of 0: it has no lift in the punctured ball."""
+    a, d = w[..., :-1, :], np.diff(w, axis=-2)
+    dd = row_dot(d, d)
+    t = np.clip(-row_dot(a, d) / dd, 0.0, 1.0)  # steps are nonzero, as in a Curve
+    gap = a + t[..., None] * d
+    return np.sqrt(row_dot(gap, gap)) <= PUNCTURE_TOL * (np.sqrt(row_dot(a, a)) + np.sqrt(dd))
+
+
 def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lift the image curves image[owner] from starts, every (lift, vertex) pair at once.
 
     The radial power has one branch.  The winding's branch at vertex i is the
     start's plus the net count of the image angle's crossings of arctan2's cut
-    up to i, mod k.  A lift stops before a vertex at the puncture's image or a
-    planar winding step that passes it, an angle change within PUNCTURE_TOL of
-    pi (HIT_PUNCTURE); or at a vertex within PUNCTURE_TOL of the puncture
-    (HIT_PUNCTURE) or past the bounding sphere (HIT_OUTER_SPHERE).  The lowest
-    lift left with one vertex raises.  Returns the lifts' vertices end to end,
-    their vertex counts and their statuses.
+    up to i, mod k.  A lift stops before a step that passes the puncture's image
+    (_through_puncture, HIT_PUNCTURE); or at a vertex within PUNCTURE_TOL of the
+    puncture (HIT_PUNCTURE) or past the bounding sphere (HIT_OUTER_SPHERE).  The
+    lowest lift left with one vertex raises.  Returns the lifts' vertices end to
+    end, their vertex counts and their statuses.
     """
     c = f.center_array()
-    w = image[owner] - c
-    cut = row_dot(w, w) == 0.0  # the puncture's image has no preimage
+    w = image - c
+    cut = np.pad(_through_puncture(w)[owner], ((0, 0), (1, 0)))  # cut[:, i]: step i-1 -> i
+    w, branch = w[owner], None
     if f.kind == "winding":
         th = np.arctan2(w[..., 1], w[..., 0])
-        dth = np.diff(th, axis=1)
         s = starts - c
-        turns = np.rint(np.column_stack([f.k * np.arctan2(s[:, 1], s[:, 0]) - th[:, 0], -dth])
-                        / (2.0 * math.pi))
-        th = (th + 2.0 * math.pi * (np.cumsum(turns, axis=1) % f.k)) / f.k
-        if f.dim == 2:
-            cut[:, 1:] |= np.abs(np.abs(dth) - math.pi) <= PUNCTURE_TOL
-        r = np.hypot(w[..., 0], w[..., 1])
-        z = w.copy()
-        z[..., 0], z[..., 1] = r * np.cos(th), r * np.sin(th)
-    else:
-        z = _preimages_rel(f, w.reshape(-1, f.dim)).reshape(w.shape)
-    lifted = c + z
+        turns = np.rint(np.column_stack([f.k * np.arctan2(s[:, 1], s[:, 0]) - th[:, 0],
+                                         -np.diff(th, axis=1)]) / (2.0 * math.pi))
+        branch = (np.cumsum(turns, axis=1) % f.k)[..., None]
+    lifted = c + _preimages_rel(f, w, branch)[..., 0, :]
     lifted[:, 0] = starts
     rad = np.sqrt(row_dot(lifted - c, lifted - c))
     outer = rad > f.epsilon0 * (1.0 + 1e-12)

@@ -19,7 +19,7 @@ import numpy as np
 from .curves import CurveFamily, GridDensity, GridSpec, curve_cell_lengths
 from .geometry import SphericalRing
 
-DEFAULT_BUDGET = 100_000
+DEFAULT_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------

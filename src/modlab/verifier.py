@@ -16,11 +16,11 @@ import numpy as np
 
 from .curves import CurveFamily
 from .geometry import SphericalRing, row_dot
-from .mappings import (PUNCTURE_TOL, DomainError, MappingSpec, _lift_many,
-                       _preimages_rel, evaluate_many, image_ball, weight_Q)
+from .mappings import (DomainError, MappingSpec, _lift_many, _preimages_rel,
+                       _through_puncture, evaluate_many, image_ball, weight_Q)
 from .mappings import image_mask  # unused here; perfbench/tracing.py wraps this name
-from .modulus import (EtaFunction, ModulusResult, discrete_modulus, family_grid,
-                      power_eta, reciprocal_eta, uniform_eta, weighted_rhs_integral)
+from .modulus import (DEFAULT_BUDGET, EtaFunction, ModulusResult, discrete_modulus,
+                      family_grid, power_eta, reciprocal_eta, uniform_eta, weighted_rhs_integral)
 
 # Discrete modulus carries the dominant error; closed-form sides are exact.
 DEFAULT_REL_TOL = 0.02
@@ -37,11 +37,11 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     """Domain curves whose images join the spheres of the image ring A(y0, r1, r2).
 
     The radial image ring family is generated, every segment is sampled at
-    LIFT_VERTEX_BUDGET arclength-uniform points for stable branch tracking, and
-    each is lifted from every preimage of its initial point; the lifted curves
+    LIFT_VERTEX_BUDGET arclength-uniform points, and each is lifted from every
+    preimage of its initial point inside the punctured ball; the lifted curves
     form the returned family (k branches per image curve for a k-fold winding).
-    A segment within PUNCTURE_TOL (relative) of the puncture's image has no lift
-    in the punctured ball; it is dropped with all its branches.
+    A segment that passes the puncture's image (mappings._through_puncture) has
+    no lift in the punctured ball; it is dropped with all its branches.
     """
     from .curves import generate_ring_family
 
@@ -53,20 +53,16 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     t = np.linspace(0.0, length, LIFT_VERTEX_BUDGET, axis=1) / length[:, None]
     image = ends[:, :1] + t[..., None] * d[:, None]
     c = f.center_array()
-    w = image[:, 0] - c
-    gap = w + np.clip(-row_dot(w, d) / length**2, 0.0, 1.0)[:, None] * d  # nearest c, less c
-    through = np.sqrt(row_dot(gap, gap)) <= PUNCTURE_TOL * (np.sqrt(row_dot(w, w)) + length)
-    starts = c + _preimages_rel(f, w)
+    through = _through_puncture(ends - c)[:, 0]
+    starts = c + _preimages_rel(f, image[:, 0] - c)
     rad = np.sqrt(row_dot(starts - c, starts - c))
     inside = (rad <= f.epsilon0 * (1.0 + 1e-9)) & ~through[:, None]  # w = 0 is through
-    # lifts of the image curves before the first one without a start fail first
-    missing = np.flatnonzero(~inside.any(axis=1) & ~through)
-    stop = missing[0] if missing.size else len(image)
-    owner, branch = np.nonzero(inside[:stop])
+    missing = ~inside.any(axis=1) & ~through
+    if missing.any():
+        raise DomainError(f"image curve {np.argmax(missing)}: initial point has no "
+                          f"preimage inside the punctured ball")
+    owner, branch = np.nonzero(inside)
     lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch])
-    if missing.size:
-        raise DomainError(f"image curve {stop}: initial point has no preimage "
-                          f"inside the punctured ball")
     label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
              f"through {f.describe()} ({len(sizes)} curves)")
     return CurveFamily.from_arrays(lifted, sizes, label)
@@ -119,7 +115,7 @@ class PoletskiReport:
 def verify_poletski(f: MappingSpec, y0, r1: float, r2: float,
                     resolution: int = 128, etas: Sequence[EtaFunction] | None = None,
                     count: int = 192, solver_tol: float = 3e-3,
-                    budget: int = 200_000) -> PoletskiReport:
+                    budget: int = DEFAULT_BUDGET) -> PoletskiReport:
     """Check that the modulus of the lifted family stays under every weighted bound.
 
     The left side is the discrete modulus of the lifted curves; each right side
@@ -176,7 +172,7 @@ class WeightBoundReport:
 def weight_bound_check(f: MappingSpec, y1, eps1: float, eps1_star: float,
                    resolution: int = 128, count: int = 192,
                    solver_tol: float = 3e-3,
-                   budget: int = 200_000) -> WeightBoundReport:
+                   budget: int = DEFAULT_BUDGET) -> WeightBoundReport:
     """Evaluate M(lifted family) <= ||Q||_1 / (eps1_star - eps1)^n within DEFAULT_REL_TOL.
 
     ||Q||_1 is taken over the whole image of the mapping and must be finite.
@@ -229,11 +225,8 @@ def continuity_bound(f: MappingSpec, r0: float, sample_count: int = 200,
     """
     if not (0 < 2.0 * r0 < f.epsilon0):
         raise ValueError("need 0 < 2 r0 < distance from the puncture to the boundary")
-    shape, _ = image_ball(f)
-    if shape != "ball":
-        raise ValueError("the weight is not integrable over an unbounded image")
     wq = weight_Q(f)
-    if not math.isfinite(wq.l1_norm) or wq.l1_norm <= 0:
+    if not math.isfinite(wq.l1_norm):
         raise ValueError("the weight is not integrable over the image")
     n = f.dim
     x0 = f.center_array()  # every bounded-image zoo member extends by its center

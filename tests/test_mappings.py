@@ -298,12 +298,41 @@ class TestLifting:
             ang = np.unwrap(np.arctan2(lift.vertices[:, 1], lift.vertices[:, 0]))
             assert ang[-1] - ang[0] == pytest.approx(2 * math.pi / k, abs=1e-9)
 
-    def test_ambiguous_branch_raises(self):
-        # a jump by angle pi runs through 0, the puncture's image, where the two
-        # square-root branches tie: the lift stops before it, at its start
-        curve = Curve([[0.3, 0.0], [-0.3, 0.0]])
+    @pytest.mark.parametrize("f, curve", [
+        (winding(2), [[0.3, 0.0], [-0.3, 0.0]]),
+        (radial_stretch(2.0), [[0.2, 0.0], [-0.2, 0.0]]),
+        (winding(3, dim=3), [[0.2, 0.0, 0.1], [-0.2, 0.0, -0.1]]),
+    ], ids=["winding2", "stretch2", "winding3-3d"])
+    def test_ambiguous_branch_raises(self, f, curve):
+        # the only step runs through 0, the puncture's image, which has no
+        # preimage (the planar square-root branches tie there): the lift stops
+        # before it, at its start
+        curve = Curve(curve)
         with pytest.raises(DomainError, match="collapsed to a single point"):
-            lift_curve(winding(2), curve, [0.3, 0.0])
+            lift_curve(f, curve, preimages(f, curve.vertices[0])[0])
+
+    @pytest.mark.parametrize("f, direction", [
+        (radial_stretch(2.0), [0.2, 0.1]),
+        (radial_stretch(0.5), [0.2, 0.1]),
+        (winding(2), [0.2, 0.1]),
+        (winding(3, dim=3), [0.2, 0.0, 0.1]),
+    ], ids=["stretch2", "stretch0.5", "winding2", "winding3-3d"])
+    def test_polyline_through_the_puncture_image_stops_before_it(self, f, direction):
+        # 8 vertices from direction to -direction: step 3 -> 4 passes through 0
+        image = Curve(np.linspace(1.0, -1.0, 8)[:, None] * np.asarray(direction))
+        lift, status = lift_curve(f, image, preimages(f, image.vertices[0])[0])
+        assert status == HIT_PUNCTURE
+        assert lift.n_vertices == 4
+
+    def test_3d_winding_step_across_the_axis_completes(self):
+        # the step crosses the branch axis at (0, 0, 0.1), away from the puncture
+        f = winding(3, dim=3)
+        image = Curve([[0.2, 0.0, 0.1], [-0.2, 0.0, 0.1]])
+        lift, status = lift_curve(f, image, preimages(f, image.vertices[0])[0])
+        assert status == COMPLETED
+        assert lift.n_vertices == 2
+        np.testing.assert_allclose(evaluate_many(f, lift.vertices), image.vertices,
+                                   rtol=0.0, atol=1e-15)
 
     def test_wrong_start_rejected(self):
         curve = Curve([[0.3, 0.0], [0.2, 0.0]])
