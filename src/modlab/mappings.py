@@ -325,22 +325,21 @@ def _through_puncture(w: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(gap, gap)) <= PUNCTURE_TOL * (np.sqrt(row_dot(a, a)) + np.sqrt(dd))
 
 
-def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray,
-               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray, starts: np.ndarray,
+               cut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lift the image curves image[owner] from starts, every (lift, vertex) pair at once.
 
     The radial power has one branch.  The winding's branch at vertex i is the
     start's plus the net count of the image angle's crossings of arctan2's cut
-    up to i, mod k.  A lift stops before a step that passes the puncture's image
-    (_through_puncture, HIT_PUNCTURE); or at a vertex within PUNCTURE_TOL of the
-    puncture (HIT_PUNCTURE) or past the bounding sphere (HIT_OUTER_SPHERE).  The
-    lowest lift left with one vertex raises.  Returns the lifts' vertices end to
-    end, their vertex counts and their statuses.
+    up to i, mod k.  A lift stops before step i where cut[owner, i], the caller's
+    test for a step past the puncture's image, is set (HIT_PUNCTURE); or at a vertex
+    within PUNCTURE_TOL of the puncture (HIT_PUNCTURE) or past the bounding sphere
+    (HIT_OUTER_SPHERE).  The lowest lift left with one vertex raises.  Returns the
+    lifts' vertices end to end, their vertex counts and their statuses.
     """
     c = f.center_array()
-    w = image - c
-    cut = np.pad(_through_puncture(w)[owner], ((0, 0), (1, 0)))  # cut[:, i]: step i-1 -> i
-    w, branch = w[owner], None
+    cut = np.pad(cut[owner], ((0, 0), (1, 0)))  # cut[:, i]: step i-1 -> i
+    w, branch = image[owner] - c, None
     if f.kind == "winding":
         th = np.arctan2(w[..., 1], w[..., 0])
         s = starts - c
@@ -379,7 +378,9 @@ def lift_curve(f: MappingSpec, image_curve: Curve, start) -> tuple[Curve, str]:
     first = image_curve.vertices[0]
     if np.linalg.norm(evaluate(f, start) - first) > START_TOL * max(1.0, float(np.linalg.norm(first))):
         raise ValueError("start point does not map to the first image vertex")
-    lifted, _, status = _lift_many(f, image_curve.vertices[None], np.array([0]), start[None])
+    image = image_curve.vertices[None]
+    cut = _through_puncture(image - f.center_array())
+    lifted, _, status = _lift_many(f, image, np.array([0]), start[None], cut)
     return Curve(lifted), status[0]
 
 

@@ -335,7 +335,8 @@ def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,
         d = float(np.linalg.norm(ring.center_array() - np.asarray(center, dtype=float)))
         kinks = [abs(R - d), R + d]
     ends = [x for eta in etas for x in (eta.r1, eta.r2)]
-    edges = np.log(np.unique(np.clip([lo, hi, *ends, *kinks], lo, hi)))
+    # sorted and distinct as np.unique would give them, without its masked-array import
+    edges = np.log(sorted({min(max(x, lo), hi) for x in (lo, hi, *ends, *kinks)}))
     # Gauss-Legendre in u for t = log r, where dr = r dt.  The 2-D arc share
     # goes like sqrt(|t - t_k|) at a kink t_k; the map is flat at both ends of
     # the piece, which makes the integrand smooth in u

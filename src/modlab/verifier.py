@@ -41,7 +41,8 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     preimage of its initial point inside the punctured ball; the lifted curves
     form the returned family (k branches per image curve for a k-fold winding).
     A segment that passes the puncture's image (mappings._through_puncture) has
-    no lift in the punctured ball; it is dropped with all its branches.
+    no lift in the punctured ball; it is dropped with all its branches, and the
+    same test, broadcast over its steps, is the puncture mask the lifts are given.
     """
     from .curves import generate_ring_family
 
@@ -62,7 +63,9 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
         raise DomainError(f"image curve {np.argmax(missing)}: initial point has no "
                           f"preimage inside the punctured ball")
     owner, branch = np.nonzero(inside)
-    lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch])
+    # a step is no nearer the puncture's image than its segment, and its tolerance no larger
+    cut = np.broadcast_to(through[:, None], (count, LIFT_VERTEX_BUDGET - 1))
+    lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch], cut)
     label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
              f"through {f.describe()} ({len(sizes)} curves)")
     return CurveFamily.from_arrays(lifted, sizes, label)

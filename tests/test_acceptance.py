@@ -22,12 +22,26 @@ def report(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
-def test_criterion_1_ring_modulus_oracle():
+def ring_oracle():
+    """The modulus of the 256 radial segments of A(0, 1, e) on its 256² ring grid: 2π."""
     ring = SphericalRing((0.0, 0.0), 1.0, math.e)
     family = ml.generate_ring_family(ring, 256)
     grid = ml.ring_grid(ring, 256, 256)
+    return ml.discrete_modulus(family, grid, p=2.0, tol=3e-3)
+
+
+def rectangle_oracle():
+    """The modulus of 256 side-joining segments of the unit square on 256²: 1."""
+    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (256, 256))
+    ys = (np.arange(256) + 0.5) / 256
+    family = CurveFamily([Curve([[0.0, y], [1.0, y]]) for y in ys],
+                         "side-joining")
+    return ml.discrete_modulus(family, grid, p=2.0, tol=3e-3)
+
+
+def test_criterion_1_ring_modulus_oracle():
     t0 = time.perf_counter()
-    result = ml.discrete_modulus(family, grid, p=2.0, tol=3e-3)
+    result = ring_oracle()
     elapsed = time.perf_counter() - t0
     rel = abs(result.value - TWO_PI) / TWO_PI
     report("criterion 1 (ring modulus oracle)",
@@ -36,15 +50,24 @@ def test_criterion_1_ring_modulus_oracle():
            f"{elapsed:.1f}s")
 
 
+def test_ring_oracle_precision():
+    # the discrete bracket sits +0.0025% and -0.216% about 2π; criterion 1
+    # allows 5%, this pin twenty times less on the value and ten on the bound
+    result = ring_oracle()
+    assert result.value == pytest.approx(TWO_PI, rel=5e-4, abs=0.0)
+    assert result.lower_bound == pytest.approx(TWO_PI, rel=5e-3, abs=0.0)
+
+
 def test_criterion_2_rectangle_oracle():
-    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (256, 256))
-    ys = (np.arange(256) + 0.5) / 256
-    family = CurveFamily([Curve([[0.0, y], [1.0, y]]) for y in ys],
-                         "side-joining")
-    result = ml.discrete_modulus(family, grid, p=2.0, tol=3e-3)
+    result = rectangle_oracle()
     rel = abs(result.value - 1.0)
     report("criterion 2 (rectangle oracle)", rel <= 0.05,
            f"M={result.value:.5f} vs 1.0 (rel {rel:.2%})")
+
+
+def test_rectangle_oracle_precision():
+    # the side-joining segments cut every cell at its full width: exactly 1
+    assert rectangle_oracle().value == pytest.approx(1.0, rel=1e-4, abs=0.0)
 
 
 def test_criterion_3_poletski_equality_witness():
@@ -156,6 +179,51 @@ def test_criterion_7_continuity_bound():
     report("criterion 7 (continuity constant)", not failures,
            "; ".join(failures) if failures else
            "finite, stable under doubling, rotation invariant")
+
+
+CONTINUITY_R0 = 0.25
+
+
+def continuity_closed_form(f, a):
+    """r0^a (log 2)^(1/n) / ||Q||_1^(1/n), the ratio at |x - x0| = r0 when |f(x) - x0| = r^a."""
+    n = f.dim
+    return (CONTINUITY_R0 ** a * math.log(2.0) ** (1.0 / n)
+            / ml.weight_Q(f).l1_norm ** (1.0 / n))
+
+
+@pytest.mark.parametrize("f, a", [
+    (ml.identity(epsilon0=1.0), 1.0),
+    (ml.radial_stretch(0.5, epsilon0=1.0), 0.5),
+    (ml.radial_stretch(2.0, epsilon0=1.0), 2.0),
+    (ml.winding(3, epsilon0=1.0), 1.0),
+    (ml.identity(dim=3, epsilon0=1.0), 1.0),
+], ids=["identity", "stretch0.5", "stretch2", "winding3", "identity3d"])
+def test_continuity_constant_closed_form(f, a):
+    # for a >= 1/(2n log 2) the ratio rises with the radius, so its supremum
+    # is the largest sample, r0 itself
+    got = ml.continuity_bound(f, CONTINUITY_R0).estimated_Cn
+    assert got == pytest.approx(continuity_closed_form(f, a), rel=1e-14, abs=0.0)
+
+
+def test_continuity_constant_interior_maximum():
+    # for a = 0.3 < 1/(4 log 2) the ratio peaks inside (1e-6 r0, r0), 2.26%
+    # above its value at r0; the 200 log-spaced samples can miss the peak by
+    # at most the ratio's drop half a sample step either side of it
+    f, a, samples = ml.radial_stretch(0.3, epsilon0=1.0), 0.3, 200
+    lo, hi = math.log(1e-6 * CONTINUITY_R0), math.log(CONTINUITY_R0)
+    q = ml.weight_Q(f).l1_norm
+
+    def ratio(t):
+        return np.exp(a * t) * np.log1p(CONTINUITY_R0 / np.exp(t)) ** 0.5 / q ** 0.5
+
+    t = np.linspace(lo, hi, 2_000_001)
+    peak = t[np.argmax(ratio(t))]
+    best = ratio(peak)
+    half_step = 0.5 * (hi - lo) / (samples - 1)
+    drop = 1.0 - min(ratio(peak - half_step), ratio(peak + half_step)) / best
+    got = ml.continuity_bound(f, CONTINUITY_R0, samples).estimated_Cn
+    assert got > continuity_closed_form(f, a) * 1.02
+    assert best * (1.0 - drop) <= got <= best * (1.0 + 1e-12)
 
 
 def test_criterion_8_lifting_roundtrip():

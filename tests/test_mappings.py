@@ -10,8 +10,8 @@ from modlab import verifier
 from modlab.curves import Curve
 from modlab.geometry import ExtendedPoint, chordal_distance, row_dot
 from modlab.mappings import (PUNCTURE_TOL, DomainError, MappingSpec, _components,
-                             _lift_many, _preimages_rel, cluster_set_estimate,
-                             derivative_matrix, distortion_at,
+                             _lift_many, _preimages_rel, _through_puncture,
+                             cluster_set_estimate, derivative_matrix, distortion_at,
                              distortion_from_matrix, evaluate, evaluate_many,
                              finite_difference_derivative, identity, image_ball,
                              image_mask, inversion, lift_curve, multiplicity,
@@ -359,12 +359,13 @@ class TestLifting:
 AMBIGUITY_TOL = 1e-6  # the reference's gap below which two branches tie
 
 
-def reference_lift_many(f, image, owner, starts):
+def reference_lift_many(f, image, owner, starts, cut):
     """Oracle: the nearest-branch search, all lifts one vertex at a time.
 
     Each step takes the preimage nearest the lift's last vertex and asserts
     that the runner-up is farther by more than AMBIGUITY_TOL; it stops as
-    _lift_many does and returns the same vertices, sizes and statuses.
+    _lift_many does and returns the same vertices, sizes and statuses.  It
+    takes the caller's puncture cut for _lift_many's signature and ignores it.
     """
     c = f.center_array()
     lifted = np.full((len(owner),) + image.shape[1:], np.nan)
@@ -465,7 +466,8 @@ class TestLiftReference:
         cases += [(winding(k), circle, np.array([0.2, 0.0])) for k in (2, 3, 5)]
         assert len(cases) == 803
         for f, curve, start in cases:
-            args = (f, curve[None], np.array([0]), start[None])
+            cut = _through_puncture(curve[None] - f.center_array())
+            args = (f, curve[None], np.array([0]), start[None], cut)
             for got, ref in zip(_lift_many(*args), reference_lift_many(*args), strict=True):
                 assert np.array_equal(got, ref)
 

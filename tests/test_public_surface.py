@@ -131,3 +131,16 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_poletski_check_imports_no_masked_arrays():
+    # numpy.ma costs about 11 ms and 1.2 MB to import; np.unique loads it,
+    # so the rhs breakpoints are deduplicated without it
+    code = ("import sys, modlab as ml; "
+            "ml.verify_poletski(ml.winding(3), (0.0, 0.0), 0.1, 0.4, resolution=32, count=32); "
+            "ml.cluster_set_estimate(ml.winding(3), [0.05, 0.02, 0.01]); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
