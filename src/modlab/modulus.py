@@ -157,10 +157,11 @@ class ModulusResult:
         }
 
 
-def _matvec(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
-            rho: np.ndarray, m: int) -> np.ndarray:
-    """A @ rho: each curve's integral of rho, summed over its row in input order."""
-    return np.bincount(row, length * rho[cell], m)
+def _matvec(into: np.ndarray, at: np.ndarray, length: np.ndarray, x: np.ndarray, size: int):
+    """A @ x by (row, cell) or A^T @ x by (cell, row): length * x[at] summed by into in order."""
+    t = x[at]
+    t *= length
+    return np.bincount(into, t, size)
 
 
 def _dual_ascent(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
@@ -168,15 +169,15 @@ def _dual_ascent(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
                  tol: float, budget: int):
     """Projected ascent with Barzilai-Borwein steps on the Lagrangian dual.
 
-    The constraint matrix A holds length[k] at (row[k], cell[k]), with the
-    entries sorted by row.  Both products are np.bincount sums, which add
-    from zero in input order as a CSR (A @ rho) or CSC (A^T @ lam) loop does.
-    Primal recovery: rho = (A^T lam / (p w))^(1/(p-1)).  Every evaluation gives
-    a lower bound, the dual value g(lam), and an upper bound, the energy of rho
-    rescaled so its least curve integral is 1.  Stops once the best bounds are
-    within the relative gap tol.  Returns the multipliers, the best rescaled
-    density, the best lower and upper bounds and the number of evaluations;
-    raises SolverBudgetExceeded after budget evaluations.
+    A holds length[k] at (row[k], cell[k]), sorted by row.  Both products are
+    np.bincount sums, which add from zero in input order as a CSR (A @ rho) or
+    CSC (A^T @ lam) loop does.  Primal recovery: rho = (A^T lam / (p w))^(1/(p-1)).
+    Every evaluation gives a lower bound, the dual value g(lam), and an upper
+    bound, the energy of rho rescaled so its least curve integral is 1; it holds
+    one entry-sized product and at most three grid-sized arrays.  Stops once the
+    best bounds are within the relative gap tol.  Returns the multipliers, the best
+    rescaled density, the best lower and upper bounds and the number of
+    evaluations; raises SolverBudgetExceeded after budget evaluations.
     """
     q = 1.0 / (p - 1.0)
     m = len(lam)
@@ -184,15 +185,19 @@ def _dual_ascent(row: np.ndarray, cell: np.ndarray, length: np.ndarray,
 
     def state(lam):
         nonlocal lower, upper, best_rho
-        s = np.bincount(cell, length * lam[row], n_cells)
-        rho = (s / (p * w)) ** q
-        integrals = _matvec(row, cell, length, rho, m)
+        s = _matvec(cell, row, length, lam, n_cells)
+        rho = s / (p * w)
+        rho **= q
         g = lam.sum() - (1.0 - 1.0 / p) * float(s @ rho)
+        del s
+        integrals = _matvec(row, cell, length, rho, m)
         lower = max(lower, g)
         least = integrals.min()
         if least > 0.0:
-            rho = rho / least
-            energy = float(np.sum(w * rho ** p))
+            rho /= least
+            energy = rho ** p
+            energy *= w
+            energy = float(np.sum(energy))
             if energy < upper:
                 upper, best_rho = energy, rho
         return g, 1.0 - integrals
@@ -241,11 +246,11 @@ def discrete_modulus(family: CurveFamily, grid: GridSpec, p: float | None = None
     if len(family.curves) == 0:
         return ModulusResult(0.0, GridDensity.zeros(grid), 0, 0, 0.0, 0, 0.0)
 
-    rows = [curve_cell_lengths(grid, c) for c in family]
-    m = len(rows)
-    row = np.repeat(np.arange(m), [len(cells) for cells, _ in rows])
-    cell = np.concatenate([cells for cells, _ in rows])
-    length = np.concatenate([lengths for _, lengths in rows])
+    cells, lengths = zip(*[curve_cell_lengths(grid, c) for c in family])
+    m = len(cells)
+    row = np.repeat(np.arange(m), [len(c) for c in cells])
+    cell, length = np.concatenate(cells), np.concatenate(lengths)
+    del cells, lengths  # the solve holds only the concatenated rows
     w = grid.cell_volume
 
     lam, rho, lower, value, evals = _dual_ascent(row, cell, length, grid.n_cells, w, p,
@@ -299,7 +304,27 @@ def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
 # integrand has a kink.
 RADIAL_NODES = 64
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(RADIAL_NODES)
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.polynomial.legendre.leggauss(n) by its own arithmetic, without its import."""
+    s = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, n) * s[:-1] * s[1:], -1))  # symmetric companion
+
+    def legval(c):  # Clenshaw recursion as numpy's legval writes it
+        c0, c1 = c[-2], c[-1]
+        for nd, ci in zip(range(len(c) - 1, 1, -1), c[-3::-1]):
+            c0, c1 = ci - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+    # one Newton step with L_n' = sum of (2k + 1) L_k over k = n-1, n-3, ...
+    df = legval([(2.0 * k + 1.0) * ((n - 1 - k) % 2 == 0) for k in range(n)])
+    x -= legval([0.0] * n + [1.0]) / df
+    fm = legval([0.0] * (n - 1) + [1.0])
+    w = 1.0 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(RADIAL_NODES)
 
 
 def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,

@@ -2,23 +2,25 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+from modlab import modulus
 from modlab.curves import (Curve, CurveFamily, GridSpec, curve_cell_lengths,
                            generate_ring_family)
 from modlab.geometry import SphericalRing
-from modlab.mappings import image_ball, radial_stretch
-from modlab.modulus import (EtaFunction, SolverBudgetExceeded, admissible_check,
+from modlab.mappings import image_ball, radial_stretch, winding
+from modlab.modulus import (RADIAL_NODES, EtaFunction, SolverBudgetExceeded, admissible_check,
                             blowup_experiment, blowup_family, discrete_modulus,
                             family_grid,
                             power_eta, reciprocal_eta,
                             ring_grid, ring_modulus_analytic, uniform_eta,
                             unit_sphere_area, weighted_rhs_integral)
-from modlab.verifier import default_etas
+from modlab.verifier import default_etas, lifted_ring_family
 
 
 def reference_ring_grid(ring: SphericalRing, resolution: int, family_size: int) -> GridSpec:
@@ -456,6 +458,108 @@ def test_residual_matches_csr_product(name):
                       shape=(len(rows), grid.n_cells))
     rho = result.density.values.ravel()
     assert result.residual == max(0.0, 1.0 - (A @ rho).min())
+
+
+def reference_dual_ascent(row, cell, length, n_cells, w, p, lam, tol, budget):
+    """Oracle: the dual ascent as first written, with a fresh array per product."""
+    q = 1.0 / (p - 1.0)
+    m = len(lam)
+    lower, upper, best_rho = -math.inf, math.inf, None
+
+    def state(lam):
+        nonlocal lower, upper, best_rho
+        s = np.bincount(cell, length * lam[row], n_cells)
+        rho = (s / (p * w)) ** q
+        integrals = np.bincount(row, length * rho[cell], m)
+        g = lam.sum() - (1.0 - 1.0 / p) * float(s @ rho)
+        lower = max(lower, g)
+        least = integrals.min()
+        if least > 0.0:
+            rho = rho / least
+            energy = float(np.sum(w * rho ** p))
+            if energy < upper:
+                upper, best_rho = energy, rho
+        return g, 1.0 - integrals
+
+    g, grad = state(lam)
+    evals = 1
+    step = 1.0
+    while best_rho is None or upper - lower > tol * upper:
+        if evals >= budget:
+            raise SolverBudgetExceeded(
+                f"no convergence within {budget} dual iterations (bracket "
+                f"[{lower:.6g}, {upper:.6g}], tol {tol:g})",
+                upper if best_rho is not None else None)
+        # monotone safeguard around the BB proposal
+        while True:
+            lam_new = np.maximum(0.0, lam + step * grad)
+            g_new, grad_new = state(lam_new)
+            evals += 1
+            if g_new >= g - 1e-14 * max(1.0, abs(g)) or step < 1e-15 or evals >= budget:
+                break
+            step *= 0.5
+        dl = lam_new - lam
+        dg = grad_new - grad
+        curv = float(dl @ dg)
+        if curv < 0.0:
+            step = float(dl @ dl) / (-curv)
+        else:
+            step *= 2.0
+        lam, g, grad = lam_new, g_new, grad_new
+    return lam, best_rho, lower, upper, evals
+
+
+def reference_case(name):
+    """A family, its grid and the exponent: the oracles at p = 2, a spiral family
+    at p = 1.5 (q = 2) and p = 4 (q = 1/3), and a 3-D lifted family at p = 3 (q = 0.5)."""
+    if name in ("ring", "rectangle", "mixed"):
+        return *oracle_case(name), 2.0
+    if name == "winding-3d":
+        family = lifted_ring_family(winding(3, dim=3), (0.0, 0.0, 0.0), 0.05, 0.3, 64)
+        return family, family_grid(family, 24), 3.0
+    ring = SphericalRing((0.0, 0.0), 1.0, math.e)
+    spiral = generate_ring_family(ring, 128, kind="spiral", pitch=0.5, vertex_budget=32)
+    return spiral, ring_grid(ring, 128, 128), float(name.split("-")[1])
+
+
+@pytest.mark.parametrize("name", ["ring", "rectangle", "mixed", "spiral-1.5", "spiral-4",
+                                  "winding-3d"])
+def test_dual_ascent_matches_reference(monkeypatch, name):
+    # the in-place products and powers repeat the reference's arithmetic, so
+    # the solve is the same bit for bit
+    family, grid, p = reference_case(name)
+    got = discrete_modulus(family, grid, p=p, tol=3e-3)
+    monkeypatch.setattr(modulus, "_dual_ascent", reference_dual_ascent)
+    ref = discrete_modulus(family, grid, p=p, tol=3e-3)
+    assert (got.value, got.lower_bound, got.iterations, got.active_constraints) == \
+        (ref.value, ref.lower_bound, ref.iterations, ref.active_constraints)
+    assert np.array_equal(got.density.values, ref.density.values)
+
+
+@pytest.mark.parametrize("name, units", [("rectangle", 7.0), ("ring", 4.0)])
+def test_solve_peak_memory(name, units):
+    # the traced peak of a warmed solve, in 256^2-cell float64 arrays: the
+    # rows once, at most three grid-sized arrays and one entry-sized product
+    # (6.03 and 3.42 units; the rows list and a fresh array per product gave
+    # 9.14 and 4.80)
+    family, grid = oracle_case(name)
+    discrete_modulus(family, grid, p=2.0, tol=3e-3)
+    tracemalloc.start()
+    try:
+        discrete_modulus(family, grid, p=2.0, tol=3e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (65536 * 8) <= units
+
+
+def test_radial_rule_is_leggauss():
+    # modlab computes the rule without numpy.polynomial; only the test imports it
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(RADIAL_NODES)
+    assert np.array_equal(modulus._GL_NODES, nodes)
+    assert np.array_equal(modulus._GL_WEIGHTS, weights)
 
 
 class TestRingGrid:

@@ -135,12 +135,16 @@ def test_runtime_imports_no_scipy():
 
 def test_poletski_check_imports_no_masked_arrays():
     # numpy.ma costs about 11 ms and 1.2 MB to import; np.unique loads it,
-    # so the rhs breakpoints are deduplicated without it
-    code = ("import sys, modlab as ml; "
+    # so the rhs breakpoints are deduplicated without it.  numpy.polynomial
+    # costs about 0.9 MB; the radial rule is computed without it
+    code = ("import sys, math, modlab as ml; "
             "ml.verify_poletski(ml.winding(3), (0.0, 0.0), 0.1, 0.4, resolution=32, count=32); "
             "ml.cluster_set_estimate(ml.winding(3), [0.05, 0.02, 0.01]); "
-            "print('numpy.ma' in sys.modules)")
+            "ring = ml.SphericalRing((0.0, 0.0), 1.0, math.e); "
+            "ml.discrete_modulus(ml.generate_ring_family(ring, 256), ml.ring_grid(ring, 256, 256), "
+            "p=2.0, tol=3e-3); "
+            "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
