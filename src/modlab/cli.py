@@ -45,7 +45,7 @@ GRID_GUARD = {2: 2048, 3: 96}
 # solver.resolution when absent from a 3-D config: the 3-D Poletski check's grid
 RESOLUTION_3D = 24
 # density.csv rows formatted per write, so memory stays bounded on 96^3 grids
-DENSITY_BLOCK_ROWS = 4096
+DENSITY_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):

@@ -300,7 +300,7 @@ def _preimages_rel(f: MappingSpec, w: np.ndarray, branch=None) -> np.ndarray:
         r = np.hypot(w[..., 0], w[..., 1])[..., None]
         z = np.repeat(w[..., None, :], th.shape[-1], axis=-2)
         z[..., 0] = r * np.cos(th)
-        z[..., 1] = r * np.sin(th)
+        z[..., 1] = r * np.sin(th, out=th)
         return z
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt(row_dot(w, w)) ** (1.0 / f.power - 1.0)
@@ -337,18 +337,26 @@ def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray, starts: np.
     (HIT_OUTER_SPHERE).  The lowest lift left with one vertex raises.  Returns the
     lifts' vertices end to end, their vertex counts and their statuses.
     """
+    # each temporary is dropped once used, so that at most a few (lift, vertex) arrays live at once
     c = f.center_array()
     cut = np.pad(cut[owner], ((0, 0), (1, 0)))  # cut[:, i]: step i-1 -> i
-    w, branch = image[owner] - c, None
+    w, branch = image[owner], None
+    w -= c
     if f.kind == "winding":
         th = np.arctan2(w[..., 1], w[..., 0])
         s = starts - c
         turns = np.rint(np.column_stack([f.k * np.arctan2(s[:, 1], s[:, 0]) - th[:, 0],
                                          -np.diff(th, axis=1)]) / (2.0 * math.pi))
+        del th
         branch = (np.cumsum(turns, axis=1) % f.k)[..., None]
-    lifted = c + _preimages_rel(f, w, branch)[..., 0, :]
+        del turns
+    lifted = _preimages_rel(f, w, branch)[..., 0, :]
+    del w, branch
+    lifted += c
     lifted[:, 0] = starts
-    rad = np.sqrt(row_dot(lifted - c, lifted - c))
+    rel = lifted - c
+    rad = np.sqrt(row_dot(rel, rel))
+    del rel
     outer = rad > f.epsilon0 * (1.0 + 1e-12)
     stop = cut | outer | (rad <= PUNCTURE_TOL * f.epsilon0)
     stop[:, 0] = False
@@ -356,10 +364,12 @@ def _lift_many(f: MappingSpec, image: np.ndarray, owner: np.ndarray, starts: np.
     passed = cut[lifts, first]
     status = np.select([first == 0, outer[lifts, first] & ~passed],
                        [COMPLETED, HIT_OUTER_SPHERE], HIT_PUNCTURE).astype(object)
+    del rad, outer, stop, cut
     # a lift is a prefix of its row, to its stop, less repeated vertices
     m, step = image.shape[1], np.diff(lifted, axis=1)
     keep = np.arange(m) < np.where(first == 0, m, first + ~passed)[:, None]
     keep[:, 1:] &= row_dot(step, step) > 0.0
+    del step
     sizes = keep.sum(axis=1)
     if (sizes < 2).any():
         raise DomainError(f"image curve {owner[np.argmax(sizes < 2)]}: "

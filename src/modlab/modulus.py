@@ -301,30 +301,30 @@ def family_grid(family: CurveFamily, resolution: int) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 # Radial rule: Gauss-Legendre nodes per piece between the radii where the
-# integrand has a kink.
+# integrand has a kink.  The rule is stored, as the (node, weight) reprs of the
+# positive half of numpy.polynomial.legendre.leggauss(RADIAL_NODES), because
+# computing it at import takes a LAPACK call, about 1.2 MB in every process
 RADIAL_NODES = 64
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy.polynomial.legendre.leggauss(n) by its own arithmetic, without its import."""
-    s = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    x = np.linalg.eigvalsh(np.diag(np.arange(1, n) * s[:-1] * s[1:], -1))  # symmetric companion
-
-    def legval(c):  # Clenshaw recursion as numpy's legval writes it
-        c0, c1 = c[-2], c[-1]
-        for nd, ci in zip(range(len(c) - 1, 1, -1), c[-3::-1]):
-            c0, c1 = ci - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-        return c0 + c1 * x
-    # one Newton step with L_n' = sum of (2k + 1) L_k over k = n-1, n-3, ...
-    df = legval([(2.0 * k + 1.0) * ((n - 1 - k) % 2 == 0) for k in range(n)])
-    x -= legval([0.0] * n + [1.0]) / df
-    fm = legval([0.0] * (n - 1) + [1.0])
-    w = 1.0 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(RADIAL_NODES)
+_GL_HALF = np.array([
+    (0.02435029266342443, 0.048690957009139814), (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996), (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042), (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447), (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566), (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361), (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544), (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009), (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794), (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554), (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491), (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297), (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284), (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786), (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397), (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499), (0.9993050417357722, 0.00178328072169414),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 
 
 def weighted_rhs_integral(etas: Sequence[EtaFunction], ring: SphericalRing,

@@ -53,6 +53,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     length = np.linalg.norm(d, axis=1)
     t = np.linspace(0.0, length, LIFT_VERTEX_BUDGET, axis=1) / length[:, None]
     image = ends[:, :1] + t[..., None] * d[:, None]
+    del t  # t and image are (curve, vertex) arrays, each freed once used
     c = f.center_array()
     through = _through_puncture(ends - c)[:, 0]
     starts = c + _preimages_rel(f, image[:, 0] - c)
@@ -66,6 +67,7 @@ def lifted_ring_family(f: MappingSpec, y0, r1: float, r2: float,
     # a step is no nearer the puncture's image than its segment, and its tolerance no larger
     cut = np.broadcast_to(through[:, None], (count, LIFT_VERTEX_BUDGET - 1))
     lifted, sizes, _ = _lift_many(f, image, owner, starts[owner, branch], cut)
+    del image
     label = (f"lifts of radial({count}) in ring(r={r1:g},{r2:g}) "
              f"through {f.describe()} ({len(sizes)} curves)")
     return CurveFamily.from_arrays(lifted, sizes, label)

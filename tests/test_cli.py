@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -371,6 +372,22 @@ out_dir = {out}
         record = {"_density": SimpleNamespace(density=GridDensity(spec, values))}
         cli._write_outputs(cfg, [record], 0.0, {"status": "ok"})
         assert (tmp_path / "density.csv").read_bytes() == expected.encode()
+
+    def test_write_peak_memory(self, tmp_path):
+        """Writing a suite Poletski check's reports peaks under 0.5 MiB above its entry."""
+        # the suite's winding k=2 check on (0.1, 0.4) at 128 cells: 0.39 MiB in
+        # blocks of 1,024 rows; blocks of 4,096 gave 0.90 MiB
+        cfg = cli.ExperimentConfig(mapping_kind="winding", k=2, curve_count=128,
+                                   out_dir=str(tmp_path))
+        rec = cli.run_scenario(cfg)
+        cli._write_outputs(cfg, [rec], 0.0, {"status": "ok"})
+        tracemalloc.start()
+        try:
+            cli._write_outputs(cfg, [rec], 0.0, {"status": "ok"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**19
 
     def test_cluster_set_scenario(self, tmp_path):
         out = tmp_path / "out"

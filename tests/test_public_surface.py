@@ -148,3 +148,25 @@ def test_poletski_check_imports_no_masked_arrays():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False False"
+
+
+def test_poletski_check_calls_no_lapack():
+    # a LAPACK call costs about 1.2 MB of peak memory per process, so the radial
+    # rule is stored, not computed at import; distortion_at's SVD is off this path
+    names = ["eigvalsh", "eigh", "eig", "eigvals", "svd", "det", "slogdet", "solve", "inv",
+             "lstsq", "qr", "cholesky", "pinv"]
+    code = ("import numpy.linalg as la\n"
+            "def refuse(name):\n"
+            "    def call(*args, **kwargs):\n"
+            "        raise RuntimeError(f'numpy.linalg.{name}')\n"
+            "    return call\n"
+            f"for name in {names!r}:\n"
+            "    setattr(la, name, refuse(name))\n"
+            "import math, modlab as ml, modlab.cli\n"
+            "ml.verify_poletski(ml.winding(3), (0.0, 0.0), 0.1, 0.4, resolution=32, count=32)\n"
+            "ring = ml.SphericalRing((0.0, 0.0), 1.0, math.e)\n"
+            "ml.discrete_modulus(ml.generate_ring_family(ring, 256), ml.ring_grid(ring, 256, 256),"
+            " p=2.0, tol=3e-3)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
